@@ -86,7 +86,7 @@ def cmd_construct(args) -> int:
         if args.vertices is None or args.l is None:
             raise ConstructionError("complete mode needs --vertices and --l")
         f = construct_complete_strong(args.vertices, args.l)
-        _emit(json.loads(f.to_json()), args.out)
+        _emit(f.as_dict(), args.out)
         return 0
     if args.graph is None or args.k is None:
         raise ConstructionError(f"{args.mode} mode needs --graph and --k")
@@ -100,18 +100,17 @@ def cmd_construct(args) -> int:
         f = construct_bipartite_strong(g, bp, ConstructionParams(k, factors))
     else:
         f = construct_weak_uniform(g, bp, k)
-    _emit(json.loads(f.to_json()), args.out)
+    _emit(f.as_dict(), args.out)
     return 0
 
 
 def cmd_search(args) -> int:
     g = _read_graph(args.graph)
-    k = None if args.target == "any-strong" else _check_k(args.k) if args.k else None
     spec = SearchSpec(
         universe_max=args.universe,
         max_label_size=args.max_size,
         target=args.target,
-        k=k,
+        k=None if args.k is None else _check_k(args.k),
         node_budget=args.budget,
     )
     outcome = brute_force_search(g, spec)
@@ -133,7 +132,7 @@ def cmd_reduce(args) -> int:
     payload = {
         "vertex_count": reduced.vertex_count,
         "edges": [[u, v] for u, v in reduced.edges],
-        "labels": json.loads(labels.to_json()),
+        "labels": labels.as_dict(),
     }
     _emit(payload, args.out)
     return 0
@@ -178,12 +177,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--universe", type=int, required=True, help="labels drawn from {0..universe}")
     p.add_argument("--max-size", type=int, default=None, help="largest label size (default: universe+1)")
     p.add_argument("--budget", type=int, default=10_000_000, help="search-tree node cap")
-    p.add_argument("--threads", type=int, default=1, help="worker cap (outcome is thread-count independent)")
     p.set_defaults(func=cmd_search, out=None)
 
     p = sub.add_parser("reduce", help="remove a degree-2 vertex, joining its neighbors")
     p.add_argument("--graph", required=True, help="edge-list file")
-    p.add_argument("--labels", required=True, help="labeling JSON file (must be strong)")
+    p.add_argument("--labels", required=True, help="labeling JSON file (must be a strong set-indexer)")
     p.add_argument("--vertex", type=int, required=True, help="degree-2 vertex to remove")
     p.add_argument("--out", help="write JSON here instead of stdout")
     p.set_defaults(func=cmd_reduce)

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 from .graphs import Graph, Bipartition, is_valid_bipartition
 from .setlabel import SetLabel, difference_set, sumset
-from .verify import Labeling, verify
+from .verify import Labeling, _edge_pass, divisors_of
 
 
 class ConstructionError(ValueError):
@@ -45,12 +45,11 @@ class FactorPair:
 
 @dataclass(frozen=True)
 class ConstructionParams:
-    """Inputs for the bipartite construction: target edge size k, an
-    optional factorization k = m*n, and an optional stride override."""
+    """Inputs for the bipartite construction: target edge size k and an
+    optional factorization k = m*n."""
 
     k: int
     factors: FactorPair | None = None
-    stride: int | None = None
 
     def __post_init__(self):
         if self.k < 1:
@@ -59,22 +58,14 @@ class ConstructionParams:
             raise ConstructionError(
                 f"factors {self.factors.m}*{self.factors.n} != k={self.k}"
             )
-        if self.stride is not None and self.stride < 1:
-            raise ConstructionError("stride must be positive")
 
 
 def default_factor_pair(k: int) -> FactorPair:
-    """Smallest divisor m <= sqrt(k), paired with n = k/m."""
+    """Smallest divisor 1 < m <= sqrt(k), else 1, paired with n = k/m."""
     if k < 1:
         raise ConstructionError("k must be positive")
-    best = 1
-    d = 2
-    while d * d <= k:
-        if k % d == 0:
-            best = d
-            break
-        d += 1
-    return FactorPair(best, k // best)
+    m = next((d for d in divisors_of(k) if d > 1 and d * d <= k), 1)
+    return FactorPair(m, k // m)
 
 
 def _check_bipartition(g: Graph, bp: Bipartition) -> None:
@@ -98,7 +89,7 @@ def construct_bipartite_strong(
     pair = params.factors or default_factor_pair(params.k)
     m, n = pair.m, pair.n
     ys = sorted(bp.side_y)
-    stride = params.stride if params.stride is not None else m + n * m * len(ys)
+    stride = m + n * m * len(ys)
     # m = n = 1 makes the x=0 and y=0 labels both {0}; shifting the
     # singleton side one stride up restores injectivity.
     base = stride if m == 1 and n == 1 else 0
@@ -154,8 +145,8 @@ def construct_complete_strong(num_vertices: int, l: int) -> Labeling:
     offsets come from the greedy Sidon sequence, making all edge-label
     minima, and hence all edge labels, distinct.
     """
-    if num_vertices < 1:
-        raise ConstructionError("need at least one vertex")
+    if num_vertices < 2:
+        raise ConstructionError("K_n needs at least two vertices (no isolated vertices)")
     if l < 1:
         raise ConstructionError("l must be positive")
     band = max(l, 2)
@@ -170,9 +161,9 @@ def construct_complete_strong(num_vertices: int, l: int) -> Labeling:
 def topological_reduce(g: Graph, f: Labeling, v: int) -> tuple[Graph, Labeling]:
     """Remove a degree-2 vertex v and join its neighbors by a new edge.
 
-    Requires the input to carry a strong labeling, v's neighbors u and w to
-    be non-adjacent, and their difference sets to be disjoint; then the new
-    edge keeps the product property and the result is strong again.
+    Requires the input to carry a strong set-indexer, v's neighbors u and w
+    to be non-adjacent, and their difference sets to be disjoint; then the
+    new edge keeps the product property and the result is strong again.
     Vertex ids above v are shifted down by one in both the returned graph
     and labeling.
     """
@@ -183,23 +174,25 @@ def topological_reduce(g: Graph, f: Labeling, v: int) -> tuple[Graph, Labeling]:
     u, w = g.neighbors(v)
     if g.has_edge(u, w):
         raise ReductionError(f"neighbors {u} and {w} are adjacent; reduction undefined")
-    report = verify(g, f)
+    report, edge_index = _edge_pass(g, f)
     if not report.is_strong:
         raise ReductionError("labeling is not strong")
+    if not report.is_iasi:
+        raise ReductionError("labeling is not a set-indexer")
     shared = difference_set(f[u]) & difference_set(f[w])
     if shared:
         raise ReductionError(
             f"difference sets of {u} and {w} share {sorted(shared)}",
             shared_differences=tuple(sorted(shared)),
         )
-    new_label = sumset(f[u], f[w])
-    for a, b in g.edges:
-        if v in (a, b):
-            continue
-        if sumset(f[a], f[b]) == new_label:
-            raise ReductionError(
-                f"new edge {u}-{w} would duplicate the label of edge {a}-{b}"
-            )
+    # edge labels are injective, so this is the only edge that could carry
+    # the new label; an edge at v disappears with v
+    clash = edge_index.get(sumset(f[u], f[w]))
+    if clash is not None and v not in clash:
+        a, b = clash
+        raise ReductionError(
+            f"new edge {u}-{w} would duplicate the label of edge {a}-{b}"
+        )
 
     def remap(x: int) -> int:
         return x if x < v else x - 1

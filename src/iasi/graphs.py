@@ -36,15 +36,16 @@ class Graph:
             if e in norm:
                 raise GraphFormatError(f"duplicate edge {e[0]}-{e[1]}")
             norm.add(e)
+        ordered = tuple(sorted(norm))
         adj: list[list[int]] = [[] for _ in range(vertex_count)]
-        for u, v in sorted(norm):
+        for u, v in ordered:
             adj[u].append(v)
             adj[v].append(u)
         isolated = [v for v in range(vertex_count) if not adj[v]]
         if isolated:
             raise GraphFormatError(f"isolated vertices: {isolated}")
         object.__setattr__(self, "vertex_count", vertex_count)
-        object.__setattr__(self, "edges", tuple(sorted(norm)))
+        object.__setattr__(self, "edges", ordered)
         object.__setattr__(self, "_adj", tuple(tuple(ns) for ns in adj))
 
     def __setattr__(self, name, value):
@@ -171,13 +172,13 @@ def connected_components(g: Graph) -> list[frozenset[int]]:
 
 
 def is_clique(g: Graph, vertices: Iterable[int]) -> bool:
-    """True iff every pair of the given vertices is an edge of g."""
-    vs = sorted(set(vertices))
+    """True iff every pair of the given vertices is an edge of g; costs the
+    degree sum of the given vertices."""
+    vs = set(vertices)
     for v in vs:
         if not (0 <= v < g.vertex_count):
             raise ValueError(f"vertex {v} out of range")
-    edge_set = set(g.edges)
-    return all((vs[i], vs[j]) in edge_set for i in range(len(vs)) for j in range(i + 1, len(vs)))
+    return all(len(vs.intersection(g.neighbors(v))) == len(vs) - 1 for v in vs)
 
 
 def complete_graph(n: int) -> Graph:

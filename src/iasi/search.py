@@ -68,9 +68,7 @@ class SearchOutcome:
     def as_dict(self) -> dict:
         d: dict = {"status": self.status, "nodes_visited": self.nodes_visited}
         if self.witness is not None:
-            d["witness"] = {
-                str(v): list(self.witness[v].elements) for v in self.witness.vertices()
-            }
+            d["witness"] = self.witness.as_dict()
         return d
 
 

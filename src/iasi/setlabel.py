@@ -22,7 +22,11 @@ class SetLabel:
     __slots__ = ("elements",)
 
     def __init__(self, elements: Iterable[int]):
-        elems = sorted(set(elements))
+        distinct = set(elements)
+        # bool is a subclass of int, but True is not a label element
+        if not all(type(e) is int for e in distinct):
+            raise ValueError("set label elements must be integers")
+        elems = sorted(distinct)
         if not elems:
             raise ValueError("a set label must be nonempty")
         if elems[0] < 0:

@@ -11,7 +11,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping
+from typing import Mapping
 
 from .graphs import Graph, Edge, connected_components, is_clique
 from .setlabel import SetLabel, difference_set, sumset
@@ -51,14 +51,12 @@ class Labeling:
     def vertices(self) -> list[int]:
         return list(self.assignment)
 
-    def restricted_to(self, vertices: Iterable[int]) -> "Labeling":
-        keep = set(vertices)
-        return Labeling({v: a for v, a in self.assignment.items() if v in keep})
+    def as_dict(self) -> dict[str, list[int]]:
+        """The JSON object form: decimal vertex ids, ascending elements."""
+        return {str(v): list(a.elements) for v, a in self.assignment.items()}
 
     def to_json(self) -> str:
-        return json.dumps(
-            {str(v): list(a.elements) for v, a in self.assignment.items()}
-        )
+        return json.dumps(self.as_dict())
 
     @classmethod
     def from_json(cls, text: str) -> "Labeling":
@@ -76,7 +74,7 @@ class Labeling:
                 raise LabelingError(f"vertex key {key!r} is not an integer") from None
             if v < 0:
                 raise LabelingError(f"negative vertex id {v}")
-            if not isinstance(arr, list) or not all(isinstance(e, int) for e in arr):
+            if not isinstance(arr, list) or not all(type(e) is int for e in arr):
                 raise LabelingError(f"label for vertex {v} must be an integer array")
             if arr != sorted(set(arr)):
                 raise LabelingError(f"label for vertex {v} must be strictly ascending")
@@ -136,6 +134,13 @@ def verify(g: Graph, f: Labeling) -> VerificationReport:
     equality of those sumsets, not mere size equality.  Edges are processed
     in sorted order so the violation list is deterministic.
     """
+    return _edge_pass(g, f)[0]
+
+
+def _edge_pass(g: Graph, f: Labeling) -> tuple[VerificationReport, dict[SetLabel, Edge]]:
+    """verify's one pass over the edges, plus the index from each induced
+    edge label to the first edge carrying it (kept off the report: it holds
+    every edge label, which can outweigh the report many times over)."""
     _require_total(g, f)
     violations: list[Violation] = []
 
@@ -207,7 +212,7 @@ def verify(g: Graph, f: Labeling) -> VerificationReport:
         completely_uniform=uniform_k is not None and vertex_uniform_l is not None,
         edge_sizes=edge_sizes,
         violations=violations,
-    )
+    ), edge_labels
 
 
 def check_weak_characterization(g: Graph, f: Labeling) -> bool:

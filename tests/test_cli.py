@@ -15,6 +15,13 @@ def p2(tmp_path):
 
 
 @pytest.fixture
+def p3(tmp_path):
+    path = tmp_path / "p3.txt"
+    path.write_text("0 1\n1 2\n")
+    return str(path)
+
+
+@pytest.fixture
 def c5(tmp_path):
     path = tmp_path / "c5.txt"
     path.write_text("0 1\n1 2\n2 3\n3 4\n4 0\n")
@@ -32,6 +39,110 @@ def run(capsys, argv):
     code = main(argv)
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def assert_one_line_error(code, out, err):
+    assert code == 1 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+# Exact stdout of fixed invocations: identical input must keep giving
+# byte-identical JSON.
+K33_STRONG6 = """\
+{
+  "0": [
+    0,
+    1
+  ],
+  "1": [
+    20,
+    21
+  ],
+  "2": [
+    40,
+    41
+  ],
+  "3": [
+    0,
+    2,
+    4
+  ],
+  "4": [
+    1,
+    3,
+    5
+  ],
+  "5": [
+    2,
+    4,
+    6
+  ]
+}
+"""
+
+COMPLETE_4_2 = """\
+{
+  "0": [
+    1,
+    5
+  ],
+  "1": [
+    2,
+    10
+  ],
+  "2": [
+    4,
+    20
+  ],
+  "3": [
+    8,
+    40
+  ]
+}
+"""
+
+SEARCH_P3_STRONG4 = """\
+{
+  "status": "found",
+  "nodes_visited": 4,
+  "witness": {
+    "0": [
+      0
+    ],
+    "1": [
+      0,
+      1,
+      2,
+      3
+    ],
+    "2": [
+      1
+    ]
+  }
+}
+"""
+
+REDUCE_P3 = """\
+{
+  "vertex_count": 2,
+  "edges": [
+    [
+      0,
+      1
+    ]
+  ],
+  "labels": {
+    "0": [
+      0,
+      1
+    ],
+    "1": [
+      30,
+      34
+    ]
+  }
+}
+"""
 
 
 class TestVerifyCommand:
@@ -61,9 +172,12 @@ class TestVerifyCommand:
 
     def test_malformed_labels(self, capsys, tmp_path, p2):
         labels = tmp_path / "l.json"
-        labels.write_text("not json")
-        code, _, err = run(capsys, ["verify", "--graph", p2, "--labels", str(labels)])
-        assert code == 1
+        # a JSON boolean is not an integer label element
+        for text in ("not json", '{"0": [true], "1": [0, 2]}'):
+            labels.write_text(text)
+            assert_one_line_error(
+                *run(capsys, ["verify", "--graph", p2, "--labels", str(labels)])
+            )
 
 
 class TestConstructCommand:
@@ -121,11 +235,22 @@ class TestConstructCommand:
         assert code == 1
         assert "not bipartite" in err
 
-    def test_byte_identical_output(self, capsys, k33):
+    def test_byte_identical_output(self, capsys, tmp_path, k33, p3):
         argv = ["construct", "--graph", k33, "--mode", "strong", "--k", "6"]
         _, out1, _ = run(capsys, argv)
         _, out2, _ = run(capsys, argv)
         assert out1 == out2
+        labels = tmp_path / "l.json"
+        labels.write_text('{"0": [0, 1], "1": [10, 12], "2": [30, 34]}')
+        pinned = [
+            (argv, K33_STRONG6),
+            (["construct", "--mode", "complete", "--vertices", "4", "--l", "2"], COMPLETE_4_2),
+            (["search", "--graph", p3, "--target", "strong", "--k", "4", "--universe", "4"],
+             SEARCH_P3_STRONG4),
+            (["reduce", "--graph", p3, "--labels", str(labels), "--vertex", "1"], REDUCE_P3),
+        ]
+        for pinned_argv, expected in pinned:
+            assert run(capsys, pinned_argv) == (0, expected, ""), pinned_argv
 
 
 class TestSearchCommand:
@@ -199,6 +324,18 @@ class TestAnalyzeCommand:
         assert payload["k_is_square"] is True
         assert payload["clique_component_present"] is True
         assert payload["components"][0]["kind"] == "square-class"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["construct", "--mode", "complete", "--vertices", "1", "--l", "2"],
+        ["search", "--graph", "{p2}", "--target", "any-strong", "--k", "3", "--universe", "3"],
+    ],
+    ids=["complete-one-vertex", "any-strong-with-k"],
+)
+def test_rejected_input_is_a_one_line_error(capsys, p2, argv):
+    assert_one_line_error(*run(capsys, [a.format(p2=p2) for a in argv]))
 
 
 def test_version(capsys):

@@ -171,6 +171,8 @@ class TestCompleteStrong:
         with pytest.raises(ConstructionError):
             construct_complete_strong(0, 2)
         with pytest.raises(ConstructionError):
+            construct_complete_strong(1, 2)  # K_1 has an isolated vertex
+        with pytest.raises(ConstructionError):
             construct_complete_strong(3, 0)
 
 
@@ -248,6 +250,25 @@ class TestTopologicalReduce:
         g = path_graph(3)
         f = Labeling({0: SetLabel([0, 1]), 1: SetLabel([5, 6]), 2: SetLabel([30, 34])})
         with pytest.raises(ReductionError, match="not strong"):
+            topological_reduce(g, f, 1)
+
+    def test_non_injective_labeling_rejected(self):
+        # strong (all singletons) but vertices 0 and 2 share {0}, so the
+        # reduced K_2 would carry {0} twice
+        g = path_graph(3)
+        f = Labeling({0: SetLabel([0]), 1: SetLabel([1]), 2: SetLabel([0])})
+        with pytest.raises(ReductionError, match="not a set-indexer"):
+            topological_reduce(g, f, 1)
+
+    def test_new_edge_duplicating_an_edge_label_rejected(self):
+        # the new edge 0-2 gets {0}+{5} = {5}, already the label of 3-4
+        g = Graph(5, [(0, 1), (1, 2), (3, 4)])
+        f = Labeling(
+            {0: SetLabel([0]), 1: SetLabel([10]), 2: SetLabel([5]),
+             3: SetLabel([1]), 4: SetLabel([4])}
+        )
+        assert verify(g, f).is_iasi
+        with pytest.raises(ReductionError, match="duplicate the label of edge 3-4"):
             topological_reduce(g, f, 1)
 
     def test_successive_reductions_along_a_path(self):

@@ -18,6 +18,11 @@ class TestSetLabel:
         with pytest.raises(ValueError):
             SetLabel([-1, 2])
 
+    @pytest.mark.parametrize("elements", [[1.5, 2], [True], [0, "1"]], ids=["float", "bool", "str"])
+    def test_rejects_non_integer_elements(self, elements):
+        with pytest.raises(ValueError, match="integers"):
+            SetLabel(elements)
+
     def test_normalizes_to_sorted_unique(self):
         assert SetLabel([3, 1, 3, 2]).elements == (1, 2, 3)
 
