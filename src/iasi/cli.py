@@ -108,7 +108,7 @@ def cmd_search(args) -> int:
     g = _read_graph(args.graph)
     spec = SearchSpec(
         universe_max=args.universe,
-        max_label_size=args.max_size,
+        max_label_size=args.universe + 1 if args.max_size is None else args.max_size,
         target=args.target,
         k=None if args.k is None else _check_k(args.k),
         node_budget=args.budget,
@@ -198,8 +198,6 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.command == "search" and args.max_size is None:
-        args.max_size = args.universe + 1
     try:
         return args.func(args)
     except (

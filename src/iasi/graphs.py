@@ -113,26 +113,44 @@ def parse_edge_list(text: str) -> Graph:
     return Graph(max_id + 1, edges)
 
 
-def bipartition_of(g: Graph) -> Bipartition | None:
-    """Return a valid bipartition, or None if the graph has an odd cycle.
+def _two_coloring(g: Graph) -> tuple[list[int], list[int], set[int]]:
+    """BFS 2-coloring of each connected component from its lowest-id vertex,
+    which gets color 0 and is the component's root.
 
-    Deterministic: in each connected component, the lowest-id vertex goes
-    to side_x.
+    Returns each vertex's color, each vertex's root, and the roots of the
+    components with an odd cycle; in those the colors are only BFS-layer
+    parities and some edge joins two vertices of one color.
     """
     color = [-1] * g.vertex_count
+    root = [-1] * g.vertex_count
+    odd_roots: set[int] = set()
     for start in g.vertices():
         if color[start] != -1:
             continue
         color[start] = 0
+        root[start] = start
         queue = deque([start])
         while queue:
             u = queue.popleft()
             for w in g.neighbors(u):
                 if color[w] == -1:
                     color[w] = 1 - color[u]
+                    root[w] = start
                     queue.append(w)
                 elif color[w] == color[u]:
-                    return None
+                    odd_roots.add(start)
+    return color, root, odd_roots
+
+
+def bipartition_of(g: Graph) -> Bipartition | None:
+    """Return a valid bipartition, or None if the graph has an odd cycle.
+
+    Deterministic: in each connected component, the lowest-id vertex goes
+    to side_x.
+    """
+    color, _, odd_roots = _two_coloring(g)
+    if odd_roots:
+        return None
     side_x = frozenset(v for v in g.vertices() if color[v] == 0)
     side_y = frozenset(v for v in g.vertices() if color[v] == 1)
     return Bipartition(side_x, side_y)

@@ -3,8 +3,19 @@
 The search assigns candidate labels to vertices in ascending id order,
 enumerating candidates by size and then lexicographically, and prunes a
 branch as soon as it can no longer complete: duplicate vertex labels,
-intersecting difference sets on an edge of a strong target, duplicate edge
-labels, and (for uniform targets) sizes that cannot multiply out to k.
+intersecting difference sets on an edge of a strong target, and duplicate
+edge labels.
+
+Label sizes come from a table built once per search.  Under a uniform
+target the sizes of adjacent vertices multiply to k (weak: they pair 1 with
+k), so along a 2-coloring of each connected component they alternate d and
+k/d, and an odd cycle forces d = sqrt(k).  The lowest-id vertex of each
+component tries every feasible d in ascending order and fixes the size of
+every other vertex in it; a component with no feasible d ends the search
+without trying a label.  The depth-first search keeps an explicit stack of
+per-vertex generators, so its depth is not bounded by Python's recursion
+limit.
+
 A negative answer is always scoped to the universe bound; the search never
 claims nonexistence beyond it.
 """
@@ -14,7 +25,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import combinations
 
-from .graphs import Graph
+from .graphs import Graph, _two_coloring
 from .setlabel import SetLabel
 from .verify import Labeling, divisors_of
 
@@ -22,7 +33,8 @@ TARGETS = ("any-strong", "strong", "weak")
 
 
 class BudgetExceededError(RuntimeError):
-    """Raised by count_labelings when the node budget runs out."""
+    """Raised when a search runs past its node budget; brute_force_search
+    reports it as the status "budget-exceeded"."""
 
 
 @dataclass(frozen=True)
@@ -72,10 +84,6 @@ class SearchOutcome:
         return d
 
 
-class _Budget(Exception):
-    pass
-
-
 class _Searcher:
     """Shared depth-first machinery for first-witness search and counting."""
 
@@ -86,128 +94,103 @@ class _Searcher:
         self.spec = spec
         self.nodes = 0
         self.universe = range(spec.universe_max + 1)
-        self.sizes = self._candidate_sizes()
         # neighbors with smaller id: the edges checked when a vertex is placed
         self.back = [
             tuple(u for u in g.neighbors(v) if u < v) for v in g.vertices()
         ]
-
-    def _candidate_sizes(self) -> list[int]:
-        cap = min(self.spec.max_label_size, self.spec.universe_max + 1)
-        k = self.spec.k
-        if self.spec.target == "strong":
-            return [d for d in divisors_of(k) if d <= cap]
-        if self.spec.target == "weak":
-            # every edge label must have size max(|A|,|B|) = k, which forces
-            # one singleton endpoint and the other of size 1 or k
-            return [s for s in ([1] if k == 1 else [1, k]) if s <= cap]
-        return list(range(1, cap + 1))
-
-    def _tick(self) -> None:
-        self.nodes += 1
-        if self.nodes > self.spec.node_budget:
-            raise _Budget
-
-    def _sizes_consistent(self, size_of: list[int], v: int, s: int) -> bool:
-        """Uniform-target look-ahead: with |label(v)| = s tentatively fixed,
-        every later vertex must still have one feasible size from its
-        already-sized neighbors."""
-        k = self.spec.k
-        if self.spec.target == "strong":
-            if k % s != 0:
-                return False
-            if any(size_of[u] * s != k for u in self.back[v]):
-                return False
-            cap = min(self.spec.max_label_size, self.spec.universe_max + 1)
-            for w in range(v + 1, self.g.vertex_count):
-                need = set()
-                for u in self.g.neighbors(w):
-                    if u < v:
-                        need.add(k // size_of[u])
-                    elif u == v:
-                        need.add(k // s)
-                if len(need) > 1 or (need and next(iter(need)) > cap):
-                    return False
-            return True
-        if self.spec.target == "weak" and k is not None and k > 1:
-            # adjacent sizes must pair 1 with k
-            for u in self.back[v]:
-                if {size_of[u], s} != {1, k}:
-                    return False
-        return True
+        # the size table: a component root (its lowest id) tries root_sizes;
+        # any other vertex takes the root's size d on color 0, k // d on 1
+        cap = spec.max_label_size
+        if spec.target == "any-strong":
+            self.root = list(g.vertices())
+            self.color = [0] * g.vertex_count
+            self.root_sizes = [range(1, cap + 1)] * g.vertex_count
+        else:
+            k = spec.k
+            self.color, self.root, odd_roots = _two_coloring(g)
+            base = divisors_of(k) if spec.target == "strong" else sorted({1, k})
+            sizes = [d for d in base if d <= cap and k // d <= cap]
+            square = [d for d in sizes if d * d == k]
+            self.root_sizes = [
+                square if v in odd_roots else sizes for v in g.vertices()
+            ]
 
     def run(self, count_all: bool):
-        """DFS; returns (count, witness) where witness is the first complete
+        """Depth-first search on an explicit stack, one generator per placed
+        vertex; returns (count, witness) where witness is the first complete
         labeling found (and count is 0 or 1 unless count_all)."""
-        g, spec = self.g, self.spec
-        nv = g.vertex_count
-        labels: list[tuple[int, ...] | None] = [None] * nv
+        spec = self.spec
+        nv = self.g.vertex_count
+        k = spec.k
+        # The size table already makes every edge label reach k: strong
+        # sizes multiply to k and disjoint difference sets make the sumset
+        # full; weak sizes pair a singleton with a k-set.  What is left to
+        # check is distinct labels and, for strong targets, the differences.
+        strong = spec.target != "weak"
+        labels: list[tuple[int, ...]] = [()] * nv
         diffs: list[frozenset[int] | None] = [None] * nv
-        edge_sums: list[frozenset[int]] = []
+        edge_sums: set[frozenset[int]] = set()
         used_labels: set[tuple[int, ...]] = set()
         size_of = [0] * nv
-        found: list[Labeling] = []
-        k = spec.k
 
-        def place(v: int) -> int:
-            if v == nv:
-                if not found:
-                    found.append(
-                        Labeling({u: SetLabel(labels[u]) for u in range(nv)})
-                    )
-                return 1
-            total = 0
-            for s in self.sizes:
-                if not self._sizes_consistent(size_of, v, s):
-                    continue
+        def place(v: int):
+            """Yield True once per candidate label of v that passes every
+            check against the vertices before it, with the label applied;
+            undo it when resumed."""
+            r = self.root[v]
+            if r == v:
+                sizes = self.root_sizes[v]
+            else:
+                sizes = (k // size_of[r] if self.color[v] else size_of[r],)
+            for s in sizes:
                 size_of[v] = s
                 for cand in combinations(self.universe, s):
-                    self._tick()
+                    self.nodes += 1
+                    if self.nodes > spec.node_budget:
+                        raise BudgetExceededError(
+                            f"node budget {spec.node_budget} exceeded"
+                        )
                     if cand in used_labels:
                         continue
-                    cdiff = frozenset(
-                        cand[j] - cand[i]
-                        for i in range(s)
-                        for j in range(i + 1, s)
+                    cdiff = (
+                        frozenset(b - a for a, b in combinations(cand, 2))
+                        if strong
+                        else None
                     )
-                    new_sums = []
-                    ok = True
+                    new_sums = set()
                     for u in self.back[v]:
-                        if spec.target in ("any-strong", "strong"):
-                            if not diffs[u].isdisjoint(cdiff):
-                                ok = False
-                                break
+                        if strong and not diffs[u].isdisjoint(cdiff):
+                            break
                         esum = frozenset(a + b for a in labels[u] for b in cand)
-                        if spec.target == "strong" and len(esum) != k:
-                            ok = False
+                        if esum in edge_sums or esum in new_sums:
                             break
-                        if spec.target == "weak" and (
-                            len(esum) != k or len(esum) != max(len(labels[u]), s)
-                        ):
-                            ok = False
-                            break
-                        if esum in edge_sums or any(esum == e for e in new_sums):
-                            ok = False
-                            break
-                        new_sums.append(esum)
-                    if not ok:
-                        continue
-                    labels[v] = cand
-                    diffs[v] = cdiff
-                    used_labels.add(cand)
-                    edge_sums.extend(new_sums)
-                    sub = place(v + 1)
-                    total += sub
-                    del edge_sums[len(edge_sums) - len(new_sums):]
-                    used_labels.remove(cand)
-                    labels[v] = None
-                    diffs[v] = None
-                    if sub and not count_all:
-                        return total
-            return total
+                        new_sums.add(esum)
+                    else:
+                        labels[v] = cand
+                        diffs[v] = cdiff
+                        used_labels.add(cand)
+                        edge_sums.update(new_sums)
+                        yield True
+                        edge_sums.difference_update(new_sums)
+                        used_labels.remove(cand)
 
-        count = place(0)
-        return count, (found[0] if found else None)
+        count = 0
+        witness = None
+        if not all(self.root_sizes[r] for r in set(self.root)):
+            return count, witness  # some component has no feasible size
+        stack = [place(0)]
+        while stack:
+            if not next(stack[-1], False):
+                stack.pop()
+            elif len(stack) < nv:
+                stack.append(place(len(stack)))
+            else:
+                count += 1
+                if witness is None:
+                    witness = Labeling({u: SetLabel(labels[u]) for u in range(nv)})
+                if not count_all:
+                    break
+        return count, witness
 
 
 def brute_force_search(g: Graph, spec: SearchSpec) -> SearchOutcome:
@@ -216,7 +199,7 @@ def brute_force_search(g: Graph, spec: SearchSpec) -> SearchOutcome:
     searcher = _Searcher(g, spec)
     try:
         count, witness = searcher.run(count_all=False)
-    except _Budget:
+    except BudgetExceededError:
         return SearchOutcome("budget-exceeded", None, searcher.nodes)
     if count:
         return SearchOutcome("found", witness, searcher.nodes)
@@ -229,11 +212,4 @@ def count_labelings(g: Graph, spec: SearchSpec) -> int:
     Counts whole labelings, not equivalence classes; intended for tiny
     instances.
     """
-    searcher = _Searcher(g, spec)
-    try:
-        count, _ = searcher.run(count_all=True)
-    except _Budget:
-        raise BudgetExceededError(
-            f"node budget {spec.node_budget} exceeded"
-        ) from None
-    return count
+    return _Searcher(g, spec).run(count_all=True)[0]

@@ -61,17 +61,22 @@ class Labeling:
     @classmethod
     def from_json(cls, text: str) -> "Labeling":
         try:
-            raw = json.loads(text)
+            # objects load as tuples of (key, value) pairs, keeping repeated keys
+            raw = json.loads(text, object_pairs_hook=tuple)
         except json.JSONDecodeError as exc:
             raise LabelingError(f"labeling is not valid JSON: {exc}") from None
-        if not isinstance(raw, dict):
+        if not isinstance(raw, tuple):
             raise LabelingError("labeling JSON must be an object")
         assignment = {}
-        for key, arr in raw.items():
+        for key, arr in raw:
             try:
                 v = int(key)
             except ValueError:
                 raise LabelingError(f"vertex key {key!r} is not an integer") from None
+            if str(v) != key:
+                raise LabelingError(f"vertex key {key!r} is not in canonical decimal form")
+            if v in assignment:
+                raise LabelingError(f"vertex {v} is labeled twice")
             if v < 0:
                 raise LabelingError(f"negative vertex id {v}")
             if not isinstance(arr, list) or not all(type(e) is int for e in arr):
@@ -313,12 +318,17 @@ def analyze_divisor_partition(g: Graph, f: Labeling, k: int) -> PartitionReport:
     for non-square k at most n/2 bipartite components; for square k at most
     (n+1)/2 components of which at most (n-1)/2 are bipartite pairs.
     """
-    report = verify(g, f)
-    if not report.is_strong or report.uniform_k != k:
+    if not check_strong_criterion(g, f):
         raise ValueError(
             f"labeling is not strongly {k}-uniform "
-            f"(is_strong={report.is_strong}, uniform_k={report.uniform_k})"
+            "(adjacent labels share a difference)"
         )
+    for u, v in g.edges:
+        if len(f[u]) * len(f[v]) != k:
+            raise ValueError(
+                f"labeling is not strongly {k}-uniform "
+                f"(edge {u}-{v}: {len(f[u])}*{len(f[v])} != {k})"
+            )
 
     root = math.isqrt(k)
     k_is_square = root * root == k
@@ -328,9 +338,6 @@ def analyze_divisor_partition(g: Graph, f: Labeling, k: int) -> PartitionReport:
     classes: dict[int, list[int]] = {}
     for v in g.vertices():
         classes.setdefault(len(f[v]), []).append(v)
-    for size in classes:
-        if k % size != 0:
-            raise ValueError(f"vertex size {size} does not divide k={k}")
 
     comps = []
     bip_count = 0

@@ -172,8 +172,10 @@ class TestVerifyCommand:
 
     def test_malformed_labels(self, capsys, tmp_path, p2):
         labels = tmp_path / "l.json"
-        # a JSON boolean is not an integer label element
-        for text in ("not json", '{"0": [true], "1": [0, 2]}'):
+        # a JSON boolean is not an integer label element; "00" names vertex 0
+        # a second time
+        for text in ("not json", '{"0": [true], "1": [0, 2]}',
+                     '{"0": [1], "00": [2], "1": [3]}'):
             labels.write_text(text)
             assert_one_line_error(
                 *run(capsys, ["verify", "--graph", p2, "--labels", str(labels)])
@@ -263,8 +265,19 @@ class TestSearchCommand:
         assert code == 0
         payload = json.loads(out)
         assert payload["status"] == "exhausted-none"
-        assert payload["nodes_visited"] > 0
+        assert payload["nodes_visited"] == 0  # C_5 with non-square k: no feasible size
         assert "only up to this bound" in err
+
+    def test_deep_path(self, capsys, tmp_path):
+        g = tmp_path / "p1100.txt"
+        g.write_text("".join(f"{i} {i + 1}\n" for i in range(1099)))
+        code, out, _ = run(
+            capsys,
+            ["search", "--graph", str(g), "--target", "any-strong",
+             "--universe", "1300", "--max-size", "1"],
+        )
+        assert code == 0
+        assert json.loads(out)["status"] == "found"
 
     def test_found_with_witness(self, capsys, p2):
         code, out, _ = run(

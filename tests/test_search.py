@@ -8,12 +8,14 @@ import pytest
 from iasi import (
     BudgetExceededError,
     Graph,
+    Labeling,
     SearchSpec,
     SetLabel,
     brute_force_search,
     complete_graph,
     count_labelings,
     cycle_graph,
+    disjoint_union,
     path_graph,
     verify,
 )
@@ -93,6 +95,17 @@ class TestBruteForceSearch:
     def test_c5_strong2_nonexistent(self):
         out = brute_force_search(cycle_graph(5), SearchSpec(8, 2, "strong", 2))
         assert out.status == "exhausted-none"
+        # an odd cycle forces every size to sqrt(k); weak needs sizes 1 and k
+        # on adjacent vertices: either way no size is feasible, no label tried
+        for target in ("strong", "weak"):
+            for k in (2, 3, 5):
+                out = brute_force_search(cycle_graph(5), SearchSpec(8, k, target, k))
+                assert out.status == "exhausted-none", (target, k)
+                assert out.nodes_visited == 0, (target, k)
+        # also when the odd cycle is not the first component
+        g = disjoint_union(path_graph(2), cycle_graph(5))
+        out = brute_force_search(g, SearchSpec(8, 2, "strong", 2))
+        assert (out.status, out.nodes_visited) == ("exhausted-none", 0)
 
     def test_found_witnesses_verify(self):
         for target, k in [("any-strong", None), ("strong", 4), ("weak", 2)]:
@@ -111,7 +124,7 @@ class TestBruteForceSearch:
 
     def test_budget_exceeded(self):
         out = brute_force_search(
-            cycle_graph(5), SearchSpec(8, 2, "strong", 2, node_budget=5)
+            cycle_graph(5), SearchSpec(8, 2, "strong", 4, node_budget=5)
         )
         assert out.status == "budget-exceeded"
         assert out.witness is None
@@ -179,3 +192,28 @@ class TestPruneCorrectness:
                 g = Graph(n, edges)
                 spec = SearchSpec(4, 2, target, k)
                 assert count_labelings(g, spec) == unpruned_count(g, spec), edges
+
+    def test_first_witness_is_canonical(self):
+        # the witness is the first assignment, in candidate order per vertex
+        # (by size, then lexicographic), that the verifier accepts
+        spec_args = [
+            (4, 2, "any-strong", None), (4, 2, "strong", 2), (4, 2, "weak", 2),
+            (4, 4, "strong", 4), (3, 4, "weak", 4),
+        ]
+        for n in (2, 3):
+            for edges in graphs_without_isolated(n):
+                g = Graph(n, edges)
+                for u, s, target, k in spec_args:
+                    cands = [SetLabel(e) for e in small_sets(u, s)]
+                    first = None
+                    for labels in product(cands, repeat=n):
+                        r = verify(g, Labeling(dict(enumerate(labels))))
+                        if r.is_iasi and (
+                            (target == "any-strong" and r.is_strong)
+                            or (target == "strong" and r.is_strong and r.uniform_k == k)
+                            or (target == "weak" and r.is_weak and r.uniform_k == k)
+                        ):
+                            first = Labeling(dict(enumerate(labels)))
+                            break
+                    out = brute_force_search(g, SearchSpec(u, s, target, k))
+                    assert out.witness == first, (edges, target, k)

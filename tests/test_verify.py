@@ -199,6 +199,11 @@ class TestAnalyze:
             analyze_divisor_partition(
                 path_graph(2), labeling({0: [0, 1], 1: [0, 2]}), 6
             )
+        # sizes multiply to k, but the difference sets share 1: not strong
+        with pytest.raises(ValueError, match="not strongly"):
+            analyze_divisor_partition(
+                path_graph(2), labeling({0: [0, 1], 1: [1, 2]}), 4
+            )
 
 
 class TestLabelingJson:
@@ -218,5 +223,12 @@ class TestLabelingJson:
             Labeling.from_json("[1,2]")
 
     def test_rejects_bad_key(self):
-        with pytest.raises(LabelingError):
-            Labeling.from_json('{"x": [1]}')
+        # each vertex must appear once, under its canonical decimal key
+        for text in (
+            '{"x": [1]}',
+            '{"0": [1], "00": [2], "1": [3]}',
+            '{"0": [1], "0": [2], "1": [3]}',
+            '{"1_0": [1], "0": [2]}',
+        ):
+            with pytest.raises(LabelingError):
+                Labeling.from_json(text)
