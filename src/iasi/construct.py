@@ -123,15 +123,32 @@ def mian_chowla(count: int) -> list[int]:
 
     All pairwise sums (including doubled terms) are distinct, which keeps
     the minima of the constructed edge labels distinct.
+
+    Each term is the least integer x above the last one for which no x + b
+    (b a term) is already a pair sum; 2x exceeds every earlier pair sum, so
+    it never collides.  With x larger than every term, x + b = a + c holds
+    exactly when x = c + (a - b) with a > b, so the excluded x are the sums
+    of a term and a positive difference of two terms.  That set is kept
+    as an int bitmask, and the next clear bit is found in one step, so the
+    cost per term is a few shifts of a mask as wide as twice the largest
+    term instead of a test of every integer in turn.
     """
     terms: list[int] = []
-    pair_sums: set[int] = set()
+    diffs = 0  # bit d: d = a - b for terms a > b
+    forbidden = 0  # bit x: x = c + d for a term c and d in diffs
+    reflected = 0  # bit width - t for each term t
+    width = 0
     candidate = 1
     while len(terms) < count:
-        new_sums = {candidate + t for t in terms} | {2 * candidate}
-        if not (new_sums & pair_sums):
-            terms.append(candidate)
-            pair_sums |= new_sums
+        rest = forbidden >> candidate
+        candidate += (~rest & (rest + 1)).bit_length() - 1
+        if candidate > width:
+            reflected <<= candidate
+            width += candidate
+        diffs |= reflected >> (width - candidate)  # candidate - t for each term t
+        reflected |= 1 << (width - candidate)
+        forbidden |= diffs << candidate
+        terms.append(candidate)
         candidate += 1
     return terms
 

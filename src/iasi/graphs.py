@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
+from itertools import chain, islice
 from typing import Iterable
 
 
@@ -36,14 +37,17 @@ class Graph:
             if e in norm:
                 raise GraphFormatError(f"duplicate edge {e[0]}-{e[1]}")
             norm.add(e)
+        if vertex_count > 2 * len(norm):
+            # fewer edge endpoints than ids: fail before allocating anything
+            # per id, so a lone edge to a huge id costs no memory
+            raise GraphFormatError(_isolated_vertices(vertex_count, norm))
         ordered = tuple(sorted(norm))
         adj: list[list[int]] = [[] for _ in range(vertex_count)]
         for u, v in ordered:
             adj[u].append(v)
             adj[v].append(u)
-        isolated = [v for v in range(vertex_count) if not adj[v]]
-        if isolated:
-            raise GraphFormatError(f"isolated vertices: {isolated}")
+        if not all(adj):
+            raise GraphFormatError(_isolated_vertices(vertex_count, norm))
         object.__setattr__(self, "vertex_count", vertex_count)
         object.__setattr__(self, "edges", ordered)
         object.__setattr__(self, "_adj", tuple(tuple(ns) for ns in adj))
@@ -73,6 +77,15 @@ class Graph:
 
     def __repr__(self) -> str:
         return f"Graph({self.vertex_count}, {list(self.edges)})"
+
+
+def _isolated_vertices(vertex_count: int, edges: set[Edge]) -> str:
+    """The error for ids on no edge: how many, and the first ten of them."""
+    touched = set(chain.from_iterable(edges))
+    count = vertex_count - len(touched)
+    first = list(islice((v for v in range(vertex_count) if v not in touched), 10))
+    more = f" and {count - len(first)} more" if count > len(first) else ""
+    return f"isolated vertices: {first}{more}"
 
 
 @dataclass(frozen=True)
@@ -170,23 +183,13 @@ def connected_components(g: Graph) -> list[frozenset[int]]:
 
     Components are listed by ascending minimum vertex id.
     """
-    seen = [False] * g.vertex_count
-    comps: list[frozenset[int]] = []
-    for start in g.vertices():
-        if seen[start]:
-            continue
-        comp = []
-        seen[start] = True
-        queue = deque([start])
-        while queue:
-            u = queue.popleft()
-            comp.append(u)
-            for w in g.neighbors(u):
-                if not seen[w]:
-                    seen[w] = True
-                    queue.append(w)
-        comps.append(frozenset(comp))
-    return comps
+    _, root, _ = _two_coloring(g)
+    members: dict[int, list[int]] = {}
+    for v in g.vertices():
+        # a root is its component's lowest id, so components appear in
+        # ascending order of their minimum
+        members.setdefault(root[v], []).append(v)
+    return [frozenset(vs) for vs in members.values()]
 
 
 def is_clique(g: Graph, vertices: Iterable[int]) -> bool:

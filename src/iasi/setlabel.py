@@ -64,10 +64,19 @@ class SetLabel:
         return "{" + ",".join(str(e) for e in self.elements) + "}"
 
     def shift(self, t: int) -> "SetLabel":
-        """Translate every element by t >= 0."""
-        if t < 0:
-            raise ValueError("shift must be non-negative")
-        return SetLabel(e + t for e in self.elements)
+        """Translate every element by an integer t >= 0."""
+        if not isinstance(t, int) or t < 0:
+            raise ValueError("shift must be a non-negative integer")
+        return _from_sorted(tuple(e + t for e in self.elements))
+
+
+def _from_sorted(elements: tuple[int, ...]) -> SetLabel:
+    """A label from a strictly increasing, nonempty tuple of non-negative
+    ints, taken as is.  Only for results of arithmetic on validated labels,
+    which meet those conditions by construction."""
+    label = object.__new__(SetLabel)
+    object.__setattr__(label, "elements", elements)
+    return label
 
 
 def sumset(a: SetLabel, b: SetLabel) -> SetLabel:
@@ -75,7 +84,7 @@ def sumset(a: SetLabel, b: SetLabel) -> SetLabel:
 
     Always satisfies max(|a|,|b|) <= |result| <= |a|*|b|.
     """
-    return SetLabel({x + y for x in a.elements for y in b.elements})
+    return _from_sorted(tuple(sorted({x + y for x in a.elements for y in b.elements})))
 
 
 def difference_set(a: SetLabel) -> frozenset[int]:

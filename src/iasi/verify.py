@@ -147,31 +147,38 @@ def _edge_pass(g: Graph, f: Labeling) -> tuple[VerificationReport, dict[SetLabel
     edge label to the first edge carrying it (kept off the report: it holds
     every edge label, which can outweigh the report many times over)."""
     _require_total(g, f)
+    labels = f.assignment
+    size = [len(labels[v].elements) for v in g.vertices()]
     violations: list[Violation] = []
+    is_iasi = True
 
     seen_labels: dict[SetLabel, int] = {}
     for v in g.vertices():
-        a = f[v]
-        if a in seen_labels:
+        a = labels[v]
+        first = seen_labels.setdefault(a, v)
+        if first != v:
+            is_iasi = False
             violations.append(
                 Violation(
                     "duplicate-vertex-labels",
-                    f"vertices {seen_labels[a]} and {v} share the label {a}",
-                    (seen_labels[a], v),
+                    f"vertices {first} and {v} share the label {a}",
+                    (first, v),
                 )
             )
-        else:
-            seen_labels[a] = v
 
     edge_sizes: dict[Edge, int] = {}
     edge_labels: dict[SetLabel, Edge] = {}
     weak_ok = True
     strong_ok = True
-    for u, v in g.edges:
-        lab = sumset(f[u], f[v])
-        edge_sizes[(u, v)] = len(lab)
-        if lab in edge_labels:
-            pu, pv = edge_labels[lab]
+    for edge in g.edges:
+        u, v = edge
+        lab = sumset(labels[u], labels[v])
+        n, su, sv = len(lab.elements), size[u], size[v]
+        edge_sizes[edge] = n
+        first = edge_labels.setdefault(lab, edge)
+        if first is not edge:
+            is_iasi = False
+            pu, pv = first
             violations.append(
                 Violation(
                     "duplicate-edge-labels",
@@ -179,34 +186,28 @@ def _edge_pass(g: Graph, f: Labeling) -> tuple[VerificationReport, dict[SetLabel
                     (pu, pv, u, v),
                 )
             )
-        else:
-            edge_labels[lab] = (u, v)
-        if len(lab) != max(len(f[u]), len(f[v])):
+        if n != max(su, sv):
             weak_ok = False
             violations.append(
                 Violation(
                     "weak-equality",
-                    f"edge {u}-{v}: |label| = {len(lab)} != max({len(f[u])},{len(f[v])})",
+                    f"edge {u}-{v}: |label| = {n} != max({su},{sv})",
                     (u, v),
                 )
             )
-        if len(lab) != len(f[u]) * len(f[v]):
+        if n != su * sv:
             strong_ok = False
             violations.append(
                 Violation(
                     "strong-equality",
-                    f"edge {u}-{v}: |label| = {len(lab)} != {len(f[u])}*{len(f[v])}",
+                    f"edge {u}-{v}: |label| = {n} != {su}*{sv}",
                     (u, v),
                 )
             )
 
-    is_iasi = not any(
-        viol.kind in ("duplicate-vertex-labels", "duplicate-edge-labels")
-        for viol in violations
-    )
     ks = set(edge_sizes.values())
     uniform_k = ks.pop() if len(ks) == 1 else None
-    ls = {len(f[v]) for v in g.vertices()}
+    ls = set(size)
     vertex_uniform_l = ls.pop() if len(ls) == 1 else None
     return VerificationReport(
         is_iasi=is_iasi,
@@ -223,7 +224,8 @@ def _edge_pass(g: Graph, f: Labeling) -> tuple[VerificationReport, dict[SetLabel
 def check_weak_characterization(g: Graph, f: Labeling) -> bool:
     """True iff every edge has an endpoint labeled by a singleton.
 
-    Agrees with the is_weak flag whenever the labeling is a set-indexer.
+    Agrees with the is_weak flag: two labels of size >= 2 have a sumset
+    larger than either, |A + B| >= |A| + |B| - 1.
     """
     _require_total(g, f)
     return all(len(f[u]) == 1 or len(f[v]) == 1 for u, v in g.edges)
@@ -323,11 +325,12 @@ def analyze_divisor_partition(g: Graph, f: Labeling, k: int) -> PartitionReport:
             f"labeling is not strongly {k}-uniform "
             "(adjacent labels share a difference)"
         )
+    size = [len(f.assignment[v].elements) for v in g.vertices()]
     for u, v in g.edges:
-        if len(f[u]) * len(f[v]) != k:
+        if size[u] * size[v] != k:
             raise ValueError(
                 f"labeling is not strongly {k}-uniform "
-                f"(edge {u}-{v}: {len(f[u])}*{len(f[v])} != {k})"
+                f"(edge {u}-{v}: {size[u]}*{size[v]} != {k})"
             )
 
     root = math.isqrt(k)
@@ -337,7 +340,7 @@ def analyze_divisor_partition(g: Graph, f: Labeling, k: int) -> PartitionReport:
 
     classes: dict[int, list[int]] = {}
     for v in g.vertices():
-        classes.setdefault(len(f[v]), []).append(v)
+        classes.setdefault(size[v], []).append(v)
 
     comps = []
     bip_count = 0
@@ -345,7 +348,7 @@ def analyze_divisor_partition(g: Graph, f: Labeling, k: int) -> PartitionReport:
     clique_present = False
     for comp in connected_components(g):
         vs = tuple(sorted(comp))
-        sizes = tuple(sorted({len(f[v]) for v in vs}))
+        sizes = tuple(sorted({size[v] for v in vs}))
         if len(sizes) == 1 and k_is_square and sizes[0] == root:
             kind = "square-class"
             sq_count += 1

@@ -181,6 +181,15 @@ class TestVerifyCommand:
                 *run(capsys, ["verify", "--graph", p2, "--labels", str(labels)])
             )
 
+    def test_sparse_huge_vertex_id(self, capsys, tmp_path):
+        graph = tmp_path / "sparse.txt"
+        graph.write_text("0 200000\n")
+        labels = tmp_path / "l.json"
+        labels.write_text('{"0": [0], "1": [1]}')
+        code, out, err = run(capsys, ["verify", "--graph", str(graph), "--labels", str(labels)])
+        assert_one_line_error(code, out, err)
+        assert len(err) < 200
+
 
 class TestConstructCommand:
     def test_strong_round_trip(self, capsys, tmp_path, k33):

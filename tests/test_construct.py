@@ -125,6 +125,21 @@ class TestDefaultFactorPair:
         assert default_factor_pair(9) == FactorPair(3, 3)
 
 
+def reference_mian_chowla(count):
+    """The greedy Sidon sequence by the definition: test each integer in
+    turn against the set of pair sums of the terms so far."""
+    terms = []
+    pair_sums = set()
+    candidate = 1
+    while len(terms) < count:
+        new_sums = {candidate + t for t in terms} | {2 * candidate}
+        if not (new_sums & pair_sums):
+            terms.append(candidate)
+            pair_sums |= new_sums
+        candidate += 1
+    return terms
+
+
 class TestMianChowla:
     def test_known_prefix(self):
         assert mian_chowla(8) == [1, 2, 4, 8, 13, 21, 31, 45]
@@ -132,6 +147,17 @@ class TestMianChowla:
     def test_sidon_property(self):
         terms = mian_chowla(10)
         sums = [terms[i] + terms[j] for i in range(10) for j in range(i, 10)]
+        assert len(sums) == len(set(sums))
+
+    def test_matches_set_based_reference(self):
+        want = reference_mian_chowla(150)
+        for count in range(151):
+            assert mian_chowla(count) == want[:count]
+
+    def test_sidon_property_at_300(self):
+        terms = mian_chowla(300)
+        assert terms == sorted(set(terms))
+        sums = [terms[i] + terms[j] for i in range(300) for j in range(i, 300)]
         assert len(sums) == len(set(sums))
 
 
@@ -166,6 +192,12 @@ class TestCompleteStrong:
         assert r.is_iasi and r.is_strong and r.completely_uniform
         assert r.uniform_k == l * l
         assert r.vertex_uniform_l == l
+
+    def test_k150_l3(self):
+        f = construct_complete_strong(150, 3)
+        r = verify(complete_graph(150), f)
+        assert r.is_iasi and r.is_strong and r.completely_uniform
+        assert r.uniform_k == 9 and r.vertex_uniform_l == 3
 
     def test_rejects_bad_args(self):
         with pytest.raises(ConstructionError):

@@ -47,6 +47,22 @@ class TestParseEdgeList:
         with pytest.raises(GraphFormatError, match=r"isolated vertices: \[1\]"):
             parse_edge_list("0 2")
 
+    def test_sparse_huge_id_is_a_short_error(self):
+        # one edge to id 200,000: rejected before any per-vertex table is
+        # allocated, naming a count and the first ten ids only
+        with pytest.raises(GraphFormatError) as excinfo:
+            parse_edge_list("0 200000")
+        message = str(excinfo.value)
+        assert len(message) < 200
+        assert message == "isolated vertices: [1, 2, 3, 4, 5, 6, 7, 8, 9, 10] and 199989 more"
+        with pytest.raises(GraphFormatError) as excinfo:
+            parse_edge_list("0 11")
+        assert str(excinfo.value) == "isolated vertices: [1, 2, 3, 4, 5, 6, 7, 8, 9, 10]"
+        # as many ids as edge endpoints, so found after the adjacency lists
+        with pytest.raises(GraphFormatError) as excinfo:
+            parse_edge_list("0 5\n0 1\n1 5")
+        assert str(excinfo.value) == "isolated vertices: [2, 3, 4]"
+
     def test_malformed_line(self):
         with pytest.raises(GraphFormatError, match="line 2"):
             parse_edge_list("0 1\n0 1 2")
@@ -114,6 +130,9 @@ class TestConnectedComponents:
     def test_two_disjoint_edges(self):
         g = Graph(4, [(0, 1), (2, 3)])
         assert connected_components(g) == [frozenset({0, 1}), frozenset({2, 3})]
+        # listed by minimum id, also when the components interleave
+        g = Graph(4, [(0, 3), (1, 2)])
+        assert connected_components(g) == [frozenset({0, 3}), frozenset({1, 2})]
 
     def test_triangle_plus_edge(self):
         g = disjoint_union(complete_graph(3), path_graph(2))
@@ -143,6 +162,7 @@ class TestConnectedComponents:
             assert union == set(range(n))
             which = {v: i for i, c in enumerate(comps) for v in c}
             assert all(which[u] == which[v] for u, v in g.edges)
+            assert [min(c) for c in comps] == sorted(min(c) for c in comps)
 
 
 class TestIsClique:

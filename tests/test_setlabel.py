@@ -75,6 +75,32 @@ class TestSumset:
             assert sumset(a.shift(t), b) == sumset(a, b).shift(t)
 
 
+class TestArithmeticResults:
+    """sumset and shift build their results without re-validating them;
+    those results must be indistinguishable from validated labels."""
+
+    def test_equal_to_validated_labels(self):
+        rng = Random(0x5E7)
+        for _ in range(500):
+            top = rng.choice((10, 1000, 2**70))
+            a = SetLabel(rng.randrange(top) for _ in range(rng.randint(1, 8)))
+            b = SetLabel(rng.randrange(top) for _ in range(rng.randint(1, 8)))
+            t = rng.randrange(top)
+            for got, want in (
+                (sumset(a, b), SetLabel([x + y for x in a.elements for y in b.elements])),
+                (a.shift(t), SetLabel([x + t for x in a.elements])),
+            ):
+                assert type(got) is SetLabel
+                assert got == want and hash(got) == hash(want)
+                assert got.elements == want.elements
+                assert type(got.elements) is tuple
+
+    def test_shift_rejects_bad_amounts(self):
+        for t in (-1, 0.5):
+            with pytest.raises(ValueError):
+                SetLabel([0, 1]).shift(t)
+
+
 class TestDifferenceSet:
     def test_singleton_is_empty(self):
         assert difference_set(SetLabel([3])) == frozenset()

@@ -123,6 +123,35 @@ class TestCharacterizations:
             assert check_weak_characterization(g, f) == r.is_weak
 
 
+def random_graph(rng, n):
+    """A random graph on {0..n-1}, not necessarily bipartite, with every
+    vertex on some edge."""
+    edges = {(i, j) for i in range(n) for j in range(i + 1, n) if rng.random() < 0.4}
+    covered = {v for e in edges for v in e}
+    for v in range(n):
+        if v not in covered:
+            u = (v + 1) % n
+            edges.add((min(u, v), max(u, v)))
+    return Graph(n, edges)
+
+
+def test_flags_agree_with_criteria_on_random_labelings():
+    # both equivalences hold for every labeling, set-indexer or not
+    rng = Random(0xF1A6)
+    outcomes = set()
+    for _ in range(400):
+        n = rng.randint(2, 7)
+        g = random_graph(rng, n)
+        f = Labeling(
+            {v: SetLabel(rng.sample(range(rng.choice((6, 40))), rng.randint(1, 3))) for v in range(n)}
+        )
+        r = verify(g, f)
+        assert check_strong_criterion(g, f) == r.is_strong
+        assert check_weak_characterization(g, f) == r.is_weak
+        outcomes.add((r.is_strong, r.is_weak))
+    assert {s for s, _ in outcomes} == {w for _, w in outcomes} == {True, False}
+
+
 class TestRestrictionClosure:
     def test_strong_survives_deletions(self):
         g = complete_graph(3)
