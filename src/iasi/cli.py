@@ -19,20 +19,14 @@ from .construct import (
     ConstructionError,
     ConstructionParams,
     FactorPair,
-    ReductionError,
     construct_bipartite_strong,
     construct_complete_strong,
     construct_weak_uniform,
     topological_reduce,
 )
-from .graphs import GraphFormatError, Graph, bipartition_of, parse_edge_list
+from .graphs import Graph, bipartition_of, parse_edge_list
 from .search import SearchSpec, brute_force_search
-from .verify import (
-    Labeling,
-    LabelingError,
-    analyze_divisor_partition,
-    verify,
-)
+from .verify import Labeling, analyze_divisor_partition, verify
 
 MAX_K = 2**31 - 1
 
@@ -73,21 +67,17 @@ def _parse_factors(text: str) -> FactorPair:
     return FactorPair(m, n)
 
 
-def cmd_verify(args) -> int:
+def cmd_verify(args) -> dict:
     g = _read_graph(args.graph)
     f = _read_labels(args.labels)
-    report = verify(g, f)
-    _emit(report.as_dict(), args.out)
-    return 0
+    return verify(g, f).as_dict()
 
 
-def cmd_construct(args) -> int:
+def cmd_construct(args) -> dict:
     if args.mode == "complete":
         if args.vertices is None or args.l is None:
             raise ConstructionError("complete mode needs --vertices and --l")
-        f = construct_complete_strong(args.vertices, args.l)
-        _emit(f.as_dict(), args.out)
-        return 0
+        return construct_complete_strong(args.vertices, args.l).as_dict()
     if args.graph is None or args.k is None:
         raise ConstructionError(f"{args.mode} mode needs --graph and --k")
     g = _read_graph(args.graph)
@@ -100,11 +90,10 @@ def cmd_construct(args) -> int:
         f = construct_bipartite_strong(g, bp, ConstructionParams(k, factors))
     else:
         f = construct_weak_uniform(g, bp, k)
-    _emit(f.as_dict(), args.out)
-    return 0
+    return f.as_dict()
 
 
-def cmd_search(args) -> int:
+def cmd_search(args) -> dict:
     g = _read_graph(args.graph)
     spec = SearchSpec(
         universe_max=args.universe,
@@ -114,36 +103,30 @@ def cmd_search(args) -> int:
         node_budget=args.budget,
     )
     outcome = brute_force_search(g, spec)
-    payload = outcome.as_dict()
     if outcome.status == "exhausted-none":
         print(
             f"no labeling within universe {{0..{args.universe}}}; "
             "nonexistence is certified only up to this bound",
             file=sys.stderr,
         )
-    _emit(payload, args.out)
-    return 0
+    return outcome.as_dict()
 
 
-def cmd_reduce(args) -> int:
+def cmd_reduce(args) -> dict:
     g = _read_graph(args.graph)
     f = _read_labels(args.labels)
     reduced, labels = topological_reduce(g, f, args.vertex)
-    payload = {
+    return {
         "vertex_count": reduced.vertex_count,
         "edges": [[u, v] for u, v in reduced.edges],
         "labels": labels.as_dict(),
     }
-    _emit(payload, args.out)
-    return 0
 
 
-def cmd_analyze(args) -> int:
+def cmd_analyze(args) -> dict:
     g = _read_graph(args.graph)
     f = _read_labels(args.labels)
-    report = analyze_divisor_partition(g, f, _check_k(args.k))
-    _emit(report.as_dict(), args.out)
-    return 0
+    return analyze_divisor_partition(g, f, _check_k(args.k)).as_dict()
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -199,17 +182,12 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
-    except (
-        OSError,
-        GraphFormatError,
-        LabelingError,
-        ConstructionError,
-        ReductionError,
-        ValueError,
-    ) as exc:
+        _emit(args.func(args), args.out)
+    except (OSError, ValueError) as exc:
+        # every error the library raises subclasses ValueError
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    return 0
 
 
 if __name__ == "__main__":

@@ -4,10 +4,11 @@ Three label families are produced here:
 
 * strongly k-uniform labelings of bipartite graphs, interval labels on one
   side against arithmetic progressions on the other;
+* weakly k-uniform labelings of bipartite graphs: the first family with
+  m = 1, singletons against k-element intervals, since an edge with a
+  singleton endpoint is both weak and strong;
 * strong, completely uniform labelings of complete graphs, built from
-  exponentially separated bands with Sidon-sequence offsets;
-* weakly k-uniform labelings of bipartite graphs, singletons against
-  k-element intervals.
+  exponentially separated bands with Sidon-sequence offsets.
 
 All constructors are deterministic: identical inputs give identical labels.
 """
@@ -18,7 +19,7 @@ from dataclasses import dataclass
 
 from .graphs import Graph, Bipartition, is_valid_bipartition
 from .setlabel import SetLabel, difference_set, sumset
-from .verify import Labeling, _edge_pass, divisors_of
+from .verify import Labeling, check_strong_criterion, divisors_of
 
 
 class ConstructionError(ValueError):
@@ -102,20 +103,11 @@ def construct_bipartite_strong(
 
 
 def construct_weak_uniform(g: Graph, bp: Bipartition, k: int) -> Labeling:
-    """Weakly k-uniform labeling: singletons on side_x, k-element intervals
-    on side_y, spaced so vertex and edge labels stay distinct."""
+    """Weakly k-uniform labeling: the strong construction with k = 1*k,
+    singletons on side_x against k-element intervals on side_y."""
     if k < 1:
         raise ConstructionError("k must be positive")
-    _check_bipartition(g, bp)
-    ys = sorted(bp.side_y)
-    stride = k * (len(ys) + 1)
-    base = stride if k == 1 else 0  # same degenerate collision as m = n = 1
-    assignment: dict[int, SetLabel] = {}
-    for x, u in enumerate(sorted(bp.side_x)):
-        assignment[u] = SetLabel([base + x * stride])
-    for y, v in enumerate(ys):
-        assignment[v] = SetLabel(y * k + t for t in range(k))
-    return Labeling(assignment)
+    return construct_bipartite_strong(g, bp, ConstructionParams(k, FactorPair(1, k)))
 
 
 def mian_chowla(count: int) -> list[int]:
@@ -191,10 +183,11 @@ def topological_reduce(g: Graph, f: Labeling, v: int) -> tuple[Graph, Labeling]:
     u, w = g.neighbors(v)
     if g.has_edge(u, w):
         raise ReductionError(f"neighbors {u} and {w} are adjacent; reduction undefined")
-    report, edge_index = _edge_pass(g, f)
-    if not report.is_strong:
+    if not check_strong_criterion(g, f):
         raise ReductionError("labeling is not strong")
-    if not report.is_iasi:
+    labels = f.assignment
+    edge_index = {sumset(labels[a], labels[b]): (a, b) for a, b in g.edges}
+    if len(edge_index) < len(g.edges) or len(set(labels.values())) < len(labels):
         raise ReductionError("labeling is not a set-indexer")
     shared = difference_set(f[u]) & difference_set(f[w])
     if shared:

@@ -79,13 +79,30 @@ class Graph:
         return f"Graph({self.vertex_count}, {list(self.edges)})"
 
 
-def _isolated_vertices(vertex_count: int, edges: set[Edge]) -> str:
-    """The error for ids on no edge: how many, and the first ten of them."""
-    touched = set(chain.from_iterable(edges))
-    count = vertex_count - len(touched)
-    first = list(islice((v for v in range(vertex_count) if v not in touched), 10))
+def _id_summary(ids: Iterable[int], count: int) -> str:
+    """The first ten of count ids, then how many more: a short error line."""
+    first = list(islice(ids, 10))
     more = f" and {count - len(first)} more" if count > len(first) else ""
-    return f"isolated vertices: {first}{more}"
+    return f"{first}{more}"
+
+
+def _isolated_vertices(vertex_count: int, edges: set[Edge]) -> str:
+    """The error for ids on no edge."""
+    touched = set(chain.from_iterable(edges))
+    isolated = (v for v in range(vertex_count) if v not in touched)
+    return f"isolated vertices: {_id_summary(isolated, vertex_count - len(touched))}"
+
+
+def _parse_id(token: str) -> int:
+    """The id a token spells in canonical decimal form, as str() writes it
+    (no '+', '_', leading zero or non-ASCII digit), else ValueError."""
+    try:
+        v = int(token)
+    except ValueError:
+        raise ValueError(f"{token!r} is not an integer") from None
+    if str(v) != token:
+        raise ValueError(f"{token!r} is not in canonical decimal form")
+    return v
 
 
 @dataclass(frozen=True)
@@ -99,8 +116,9 @@ class Bipartition:
 def parse_edge_list(text: str) -> Graph:
     """Build a graph from edge-list text: one "u v" pair per line.
 
-    Lines starting with '#' and blank lines are ignored.  The vertex count
-    is 1 + the largest id seen; every id below that must occur in some edge.
+    Lines starting with '#' and blank lines are ignored.  Ids are canonical
+    decimals, like labeling keys.  The vertex count is 1 + the largest id
+    seen; every id below that must occur in some edge.
     """
     edges: list[Edge] = []
     max_id = -1
@@ -112,7 +130,7 @@ def parse_edge_list(text: str) -> Graph:
         if len(parts) != 2:
             raise GraphFormatError(f"line {lineno}: expected two vertex ids, got {line!r}")
         try:
-            u, v = int(parts[0]), int(parts[1])
+            u, v = _parse_id(parts[0]), _parse_id(parts[1])
         except ValueError:
             raise GraphFormatError(f"line {lineno}: non-integer vertex id in {line!r}") from None
         if u < 0 or v < 0:

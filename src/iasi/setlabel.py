@@ -42,9 +42,6 @@ class SetLabel:
     def __iter__(self) -> Iterator[int]:
         return iter(self.elements)
 
-    def __contains__(self, x: int) -> bool:
-        return x in self.elements
-
     def __eq__(self, other) -> bool:
         if not isinstance(other, SetLabel):
             return NotImplemented
@@ -52,10 +49,6 @@ class SetLabel:
 
     def __hash__(self) -> int:
         return hash(self.elements)
-
-    def __lt__(self, other: "SetLabel") -> bool:
-        # size first, then lexicographic: the canonical enumeration order
-        return (len(self.elements), self.elements) < (len(other.elements), other.elements)
 
     def __repr__(self) -> str:
         return f"SetLabel({list(self.elements)})"

@@ -13,7 +13,7 @@ import math
 from dataclasses import dataclass, field
 from typing import Mapping
 
-from .graphs import Graph, Edge, connected_components, is_clique
+from .graphs import Graph, Edge, _id_summary, _parse_id, connected_components, is_clique
 from .setlabel import SetLabel, difference_set, sumset
 
 
@@ -70,11 +70,9 @@ class Labeling:
         assignment = {}
         for key, arr in raw:
             try:
-                v = int(key)
-            except ValueError:
-                raise LabelingError(f"vertex key {key!r} is not an integer") from None
-            if str(v) != key:
-                raise LabelingError(f"vertex key {key!r} is not in canonical decimal form")
+                v = _parse_id(key)
+            except ValueError as exc:
+                raise LabelingError(f"vertex key {exc}") from None
             if v in assignment:
                 raise LabelingError(f"vertex {v} is labeled twice")
             if v < 0:
@@ -126,10 +124,10 @@ class VerificationReport:
 def _require_total(g: Graph, f: Labeling) -> None:
     missing = [v for v in g.vertices() if v not in f.assignment]
     if missing:
-        raise LabelingError(f"labeling missing vertices {missing}")
+        raise LabelingError(f"labeling missing vertices {_id_summary(missing, len(missing))}")
     extra = [v for v in f.assignment if not (0 <= v < g.vertex_count)]
     if extra:
-        raise LabelingError(f"labeling references unknown vertices {extra}")
+        raise LabelingError(f"labeling references unknown vertices {_id_summary(extra, len(extra))}")
 
 
 def verify(g: Graph, f: Labeling) -> VerificationReport:
@@ -139,13 +137,6 @@ def verify(g: Graph, f: Labeling) -> VerificationReport:
     equality of those sumsets, not mere size equality.  Edges are processed
     in sorted order so the violation list is deterministic.
     """
-    return _edge_pass(g, f)[0]
-
-
-def _edge_pass(g: Graph, f: Labeling) -> tuple[VerificationReport, dict[SetLabel, Edge]]:
-    """verify's one pass over the edges, plus the index from each induced
-    edge label to the first edge carrying it (kept off the report: it holds
-    every edge label, which can outweigh the report many times over)."""
     _require_total(g, f)
     labels = f.assignment
     size = [len(labels[v].elements) for v in g.vertices()]
@@ -218,7 +209,7 @@ def _edge_pass(g: Graph, f: Labeling) -> tuple[VerificationReport, dict[SetLabel
         completely_uniform=uniform_k is not None and vertex_uniform_l is not None,
         edge_sizes=edge_sizes,
         violations=violations,
-    ), edge_labels
+    )
 
 
 def check_weak_characterization(g: Graph, f: Labeling) -> bool:

@@ -190,6 +190,15 @@ class TestVerifyCommand:
         assert_one_line_error(code, out, err)
         assert len(err) < 200
 
+    def test_many_missing_vertices(self, capsys, tmp_path):
+        graph = tmp_path / "p20000.txt"
+        graph.write_text("".join(f"{i} {i + 1}\n" for i in range(19_999)))
+        labels = tmp_path / "l.json"
+        labels.write_text('{"0": [0], "1": [1]}')
+        code, out, err = run(capsys, ["verify", "--graph", str(graph), "--labels", str(labels)])
+        assert_one_line_error(code, out, err)
+        assert len(err) < 200
+
 
 class TestConstructCommand:
     def test_strong_round_trip(self, capsys, tmp_path, k33):
@@ -353,11 +362,12 @@ class TestAnalyzeCommand:
     [
         ["construct", "--mode", "complete", "--vertices", "1", "--l", "2"],
         ["search", "--graph", "{p2}", "--target", "any-strong", "--k", "3", "--universe", "3"],
+        ["construct", "--mode", "complete", "--vertices", "3", "--l", "2", "--out", "{dir}"],
     ],
-    ids=["complete-one-vertex", "any-strong-with-k"],
+    ids=["complete-one-vertex", "any-strong-with-k", "out-is-a-directory"],
 )
-def test_rejected_input_is_a_one_line_error(capsys, p2, argv):
-    assert_one_line_error(*run(capsys, [a.format(p2=p2) for a in argv]))
+def test_rejected_input_is_a_one_line_error(capsys, tmp_path, p2, argv):
+    assert_one_line_error(*run(capsys, [a.format(p2=p2, dir=tmp_path) for a in argv]))
 
 
 def test_version(capsys):

@@ -101,8 +101,11 @@ class TestBipartiteStrong:
             construct_bipartite_strong(g, bad, ConstructionParams(4))
 
     def test_rejects_k_zero(self):
-        with pytest.raises(ConstructionError):
+        with pytest.raises(ConstructionError, match="k must be positive"):
             ConstructionParams(0)
+        g = path_graph(2)
+        with pytest.raises(ConstructionError, match="k must be positive"):
+            construct_weak_uniform(g, bipartition_of(g), 0)
 
     def test_rejects_mismatched_factors(self):
         with pytest.raises(ConstructionError):
@@ -241,6 +244,11 @@ class TestWeakUniform:
             r = verify(g, f)
             assert r.is_iasi and r.is_weak and r.uniform_k == k
             assert check_weak_characterization(g, f)
+        # the weak family is the strong one with factors 1*k
+        for g in bipartite_suite():
+            bp = bipartition_of(g)
+            strong = construct_bipartite_strong(g, bp, ConstructionParams(k, FactorPair(1, k)))
+            assert construct_weak_uniform(g, bp, k) == strong
 
 
 class TestTopologicalReduce:
@@ -302,6 +310,29 @@ class TestTopologicalReduce:
         assert verify(g, f).is_iasi
         with pytest.raises(ReductionError, match="duplicate the label of edge 3-4"):
             topological_reduce(g, f, 1)
+
+    def test_precondition_errors_agree_with_verify(self):
+        # "not strong" exactly when verify says not strong; "not a
+        # set-indexer" exactly when it is strong but not a set-indexer
+        rng = Random(0x2ED)
+        cases = [(path_graph(3), 1), (path_graph(4), 1), (path_graph(4), 2), (cycle_graph(4), 0)]
+        seen = Counter()
+        for _ in range(400):
+            g, v = rng.choice(cases)
+            f = Labeling(
+                {x: SetLabel(rng.sample(range(6), rng.randint(1, 2))) for x in g.vertices()}
+            )
+            r = verify(g, f)
+            try:
+                topological_reduce(g, f, v)
+                message = "reduced"
+            except ReductionError as exc:
+                message = str(exc)
+            assert (message == "labeling is not strong") == (not r.is_strong)
+            assert (message == "labeling is not a set-indexer") == (r.is_strong and not r.is_iasi)
+            seen[message] += 1
+        assert seen["labeling is not strong"] and seen["labeling is not a set-indexer"]
+        assert seen["reduced"]
 
     def test_successive_reductions_along_a_path(self):
         g = path_graph(4)

@@ -70,6 +70,13 @@ class TestParseEdgeList:
     def test_non_integer(self):
         with pytest.raises(GraphFormatError):
             parse_edge_list("0 x")
+        # ids are canonical decimals, like labeling keys: int() alone would
+        # read 1_0 as 10, +0 as 0 and Arabic-Indic digits as 0 and 1
+        for text in ("0 1_0", "+0 1", "\u0660 \u0661"):
+            with pytest.raises(GraphFormatError, match="line 1: non-integer vertex id"):
+                parse_edge_list(text)
+        with pytest.raises(GraphFormatError, match="line 1: negative vertex id"):
+            parse_edge_list("-1 0")
 
     def test_empty_input(self):
         with pytest.raises(GraphFormatError):
