@@ -24,8 +24,8 @@ from .construct import (
     construct_weak_uniform,
     topological_reduce,
 )
-from .graphs import Graph, bipartition_of, parse_edge_list
-from .search import SearchSpec, brute_force_search
+from .graphs import Graph, _parse_id, bipartition_of, parse_edge_list
+from .search import TARGETS, SearchSpec, brute_force_search
 from .verify import Labeling, analyze_divisor_partition, verify
 
 MAX_K = 2**31 - 1
@@ -50,6 +50,15 @@ def _emit(payload: dict, out: str | None) -> None:
         sys.stdout.write(text + "\n")
 
 
+def _int(text: str) -> int:
+    """argparse type of the integer options: canonical decimals, the rule
+    of edge-list ids."""
+    try:
+        return _parse_id(text)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
+
+
 def _check_k(k: int) -> int:
     if not (1 <= k <= MAX_K):
         raise ConstructionError(f"k must be in 1..{MAX_K}")
@@ -61,7 +70,7 @@ def _parse_factors(text: str) -> FactorPair:
     if len(parts) != 2:
         raise ConstructionError("--factors expects m,n")
     try:
-        m, n = int(parts[0]), int(parts[1])
+        m, n = _parse_id(parts[0]), _parse_id(parts[1])
     except ValueError:
         raise ConstructionError("--factors expects two integers") from None
     return FactorPair(m, n)
@@ -145,34 +154,34 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("construct", help="build a labeling with a guaranteed classification")
     p.add_argument("--graph", help="edge-list file (strong/weak modes)")
-    p.add_argument("--k", type=int, help="target edge label size")
+    p.add_argument("--k", type=_int, help="target edge label size")
     p.add_argument("--factors", help="m,n with m*n = k (strong mode)")
     p.add_argument("--mode", choices=["strong", "weak", "complete"], default="strong")
-    p.add_argument("--vertices", type=int, help="number of vertices (complete mode)")
-    p.add_argument("--l", type=int, help="vertex label size (complete mode)")
+    p.add_argument("--vertices", type=_int, help="number of vertices (complete mode)")
+    p.add_argument("--l", type=_int, help="vertex label size (complete mode)")
     p.add_argument("--out", help="write JSON here instead of stdout")
     p.set_defaults(func=cmd_construct)
 
     p = sub.add_parser("search", help="exhaustive search over a bounded universe")
     p.add_argument("--graph", required=True, help="edge-list file")
-    p.add_argument("--target", choices=["strong", "weak", "any-strong"], required=True)
-    p.add_argument("--k", type=int, help="edge label size for uniform targets")
-    p.add_argument("--universe", type=int, required=True, help="labels drawn from {0..universe}")
-    p.add_argument("--max-size", type=int, default=None, help="largest label size (default: universe+1)")
-    p.add_argument("--budget", type=int, default=10_000_000, help="search-tree node cap")
+    p.add_argument("--target", choices=TARGETS, required=True)
+    p.add_argument("--k", type=_int, help="edge label size for uniform targets")
+    p.add_argument("--universe", type=_int, required=True, help="labels drawn from {0..universe}")
+    p.add_argument("--max-size", type=_int, default=None, help="largest label size (default: universe+1)")
+    p.add_argument("--budget", type=_int, default=SearchSpec.node_budget, help="search-tree node cap")
     p.set_defaults(func=cmd_search, out=None)
 
     p = sub.add_parser("reduce", help="remove a degree-2 vertex, joining its neighbors")
     p.add_argument("--graph", required=True, help="edge-list file")
     p.add_argument("--labels", required=True, help="labeling JSON file (must be a strong set-indexer)")
-    p.add_argument("--vertex", type=int, required=True, help="degree-2 vertex to remove")
+    p.add_argument("--vertex", type=_int, required=True, help="degree-2 vertex to remove")
     p.add_argument("--out", help="write JSON here instead of stdout")
     p.set_defaults(func=cmd_reduce)
 
     p = sub.add_parser("analyze", help="divisor-class component structure of a strongly k-uniform labeling")
     p.add_argument("--graph", required=True, help="edge-list file")
     p.add_argument("--labels", required=True, help="labeling JSON file")
-    p.add_argument("--k", type=int, required=True, help="the uniform edge label size")
+    p.add_argument("--k", type=_int, required=True, help="the uniform edge label size")
     p.add_argument("--out", help="write JSON here instead of stdout")
     p.set_defaults(func=cmd_analyze)
     return parser

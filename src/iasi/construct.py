@@ -69,11 +69,6 @@ def default_factor_pair(k: int) -> FactorPair:
     return FactorPair(m, k // m)
 
 
-def _check_bipartition(g: Graph, bp: Bipartition) -> None:
-    if not is_valid_bipartition(g, bp):
-        raise ConstructionError("bipartition is not valid for the graph")
-
-
 def construct_bipartite_strong(
     g: Graph, bp: Bipartition, params: ConstructionParams
 ) -> Labeling:
@@ -86,7 +81,8 @@ def construct_bipartite_strong(
     the full size m*n, and the stride S keeps all vertex labels and all
     edge labels pairwise distinct.
     """
-    _check_bipartition(g, bp)
+    if not is_valid_bipartition(g, bp):
+        raise ConstructionError("bipartition is not valid for the graph")
     pair = params.factors or default_factor_pair(params.k)
     m, n = pair.m, pair.n
     ys = sorted(bp.side_y)

@@ -12,9 +12,9 @@ k), so along a 2-coloring of each connected component they alternate d and
 k/d, and an odd cycle forces d = sqrt(k).  The lowest-id vertex of each
 component tries every feasible d in ascending order and fixes the size of
 every other vertex in it; a component with no feasible d ends the search
-without trying a label.  The depth-first search keeps an explicit stack of
-per-vertex generators, so its depth is not bounded by Python's recursion
-limit.
+without trying a label.  One depth-first search yields each labeling, for
+brute_force_search to take the first and count_labelings to count; it keeps
+an explicit stack of generators, so recursion limits do not bound its depth.
 
 A negative answer is always scoped to the universe bound; the search never
 claims nonexistence beyond it.
@@ -85,7 +85,7 @@ class SearchOutcome:
 
 
 class _Searcher:
-    """Shared depth-first machinery for first-witness search and counting."""
+    """Size table and depth-first search shared by both public functions."""
 
     def __init__(self, g: Graph, spec: SearchSpec):
         if not g.edges:
@@ -115,10 +115,9 @@ class _Searcher:
                 square if v in odd_roots else sizes for v in g.vertices()
             ]
 
-    def run(self, count_all: bool):
-        """Depth-first search on an explicit stack, one generator per placed
-        vertex; returns (count, witness) where witness is the first complete
-        labeling found (and count is 0 or 1 unless count_all)."""
+    def solutions(self):
+        """Yield the placed labels, indexed by vertex, at each complete
+        labeling in DFS order; the list is reused when the search resumes."""
         spec = self.spec
         nv = self.g.vertex_count
         k = spec.k
@@ -131,7 +130,6 @@ class _Searcher:
         diffs: list[frozenset[int] | None] = [None] * nv
         edge_sums: set[frozenset[int]] = set()
         used_labels: set[tuple[int, ...]] = set()
-        size_of = [0] * nv
 
         def place(v: int):
             """Yield True once per candidate label of v that passes every
@@ -141,9 +139,9 @@ class _Searcher:
             if r == v:
                 sizes = self.root_sizes[v]
             else:
-                sizes = (k // size_of[r] if self.color[v] else size_of[r],)
+                d = len(labels[r])
+                sizes = (k // d if self.color[v] else d,)
             for s in sizes:
-                size_of[v] = s
                 for cand in combinations(self.universe, s):
                     self.nodes += 1
                     if self.nodes > spec.node_budget:
@@ -174,10 +172,8 @@ class _Searcher:
                         edge_sums.difference_update(new_sums)
                         used_labels.remove(cand)
 
-        count = 0
-        witness = None
         if not all(self.root_sizes[r] for r in set(self.root)):
-            return count, witness  # some component has no feasible size
+            return  # some component has no feasible size
         stack = [place(0)]
         while stack:
             if not next(stack[-1], False):
@@ -185,12 +181,7 @@ class _Searcher:
             elif len(stack) < nv:
                 stack.append(place(len(stack)))
             else:
-                count += 1
-                if witness is None:
-                    witness = Labeling({u: SetLabel(labels[u]) for u in range(nv)})
-                if not count_all:
-                    break
-        return count, witness
+                yield labels
 
 
 def brute_force_search(g: Graph, spec: SearchSpec) -> SearchOutcome:
@@ -198,12 +189,13 @@ def brute_force_search(g: Graph, spec: SearchSpec) -> SearchOutcome:
     exists within the universe bound."""
     searcher = _Searcher(g, spec)
     try:
-        count, witness = searcher.run(count_all=False)
+        labels = next(searcher.solutions(), None)
     except BudgetExceededError:
         return SearchOutcome("budget-exceeded", None, searcher.nodes)
-    if count:
-        return SearchOutcome("found", witness, searcher.nodes)
-    return SearchOutcome("exhausted-none", None, searcher.nodes)
+    if labels is None:
+        return SearchOutcome("exhausted-none", None, searcher.nodes)
+    witness = Labeling({v: SetLabel(c) for v, c in enumerate(labels)})
+    return SearchOutcome("found", witness, searcher.nodes)
 
 
 def count_labelings(g: Graph, spec: SearchSpec) -> int:
@@ -212,4 +204,4 @@ def count_labelings(g: Graph, spec: SearchSpec) -> int:
     Counts whole labelings, not equivalence classes; intended for tiny
     instances.
     """
-    return _Searcher(g, spec).run(count_all=True)[0]
+    return sum(1 for _ in _Searcher(g, spec).solutions())

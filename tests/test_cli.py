@@ -1,6 +1,7 @@
 """End-to-end CLI checks: flag grammar, JSON output, exit codes, round trips."""
 
 import json
+import types
 
 import pytest
 
@@ -363,11 +364,47 @@ class TestAnalyzeCommand:
         ["construct", "--mode", "complete", "--vertices", "1", "--l", "2"],
         ["search", "--graph", "{p2}", "--target", "any-strong", "--k", "3", "--universe", "3"],
         ["construct", "--mode", "complete", "--vertices", "3", "--l", "2", "--out", "{dir}"],
+        ["construct", "--graph", "{p2}", "--k", "0"],
+        ["construct", "--graph", "{p2}", "--k", "2147483648"],
+        ["construct", "--graph", "{p2}", "--k", "6", "--factors", "2"],
+        ["construct", "--graph", "{p2}", "--k", "6", "--factors", "a,b"],
+        ["construct", "--graph", "{p2}", "--k", "6", "--factors", "+2,3"],
+        ["construct", "--mode", "complete", "--vertices", "3"],
+        ["construct", "--mode", "weak", "--graph", "{p2}"],
     ],
-    ids=["complete-one-vertex", "any-strong-with-k", "out-is-a-directory"],
+    ids=[
+        "complete-one-vertex", "any-strong-with-k", "out-is-a-directory",
+        "k-zero", "k-above-max", "factors-one-part", "factors-not-integers",
+        "factors-plus-sign", "complete-without-l", "weak-without-k",
+    ],
 )
 def test_rejected_input_is_a_one_line_error(capsys, tmp_path, p2, argv):
     assert_one_line_error(*run(capsys, [a.format(p2=p2, dir=tmp_path) for a in argv]))
+
+
+@pytest.mark.parametrize(
+    "value", ["abc", "1_0", "+3", "\u0663"],
+    ids=["letters", "underscore", "plus-sign", "arabic-indic-digit"],
+)
+def test_non_canonical_integer_is_usage_error(capsys, p2, value):
+    # integer options follow the edge-list id rule: canonical decimals only
+    with pytest.raises(SystemExit) as exc:
+        main(["construct", "--graph", p2, "--mode", "weak", "--k", value])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage: ") and err.count("error: ") == 1
+
+
+def test_package_names_survive_submodule_imports():
+    # importing a submodule binds it as an attribute of the package; every
+    # re-exported name, `verify` among them, must still give the object
+    import iasi
+    import iasi.cli  # noqa: F401  (imports every submodule)
+    from iasi import verify
+
+    assert callable(verify) and not isinstance(verify, types.ModuleType)
+    for name in iasi.__all__:
+        assert not isinstance(getattr(iasi, name), types.ModuleType), name
 
 
 def test_version(capsys):

@@ -106,10 +106,14 @@ class TestBipartiteStrong:
         g = path_graph(2)
         with pytest.raises(ConstructionError, match="k must be positive"):
             construct_weak_uniform(g, bipartition_of(g), 0)
+        with pytest.raises(ConstructionError, match="k must be positive"):
+            default_factor_pair(0)
 
     def test_rejects_mismatched_factors(self):
         with pytest.raises(ConstructionError):
             ConstructionParams(6, FactorPair(2, 2))
+        with pytest.raises(ConstructionError, match="factors must be positive"):
+            FactorPair(0, 1)
 
     def test_deterministic(self):
         g = complete_bipartite_graph(3, 3)
@@ -279,6 +283,9 @@ class TestTopologicalReduce:
         )
         with pytest.raises(ReductionError, match="degree"):
             topological_reduce(g, f, 0)
+        for v in (-1, 4):
+            with pytest.raises(ReductionError, match=f"vertex {v} out of range"):
+                topological_reduce(g, f, v)
 
     def test_adjacent_neighbors_rejected(self):
         g = complete_graph(3)

@@ -12,6 +12,7 @@ from iasi import (
     SearchSpec,
     SetLabel,
     brute_force_search,
+    complete_bipartite_graph,
     complete_graph,
     count_labelings,
     cycle_graph,
@@ -129,6 +130,20 @@ class TestBruteForceSearch:
         assert out.status == "budget-exceeded"
         assert out.witness is None
         assert out.nodes_visited == 6  # stops right after crossing the cap
+
+    def test_full_tree_exhausted_none_node_count(self):
+        # K_{2,2}, k = 9, at most 6 elements: every label has 3 elements, and
+        # the whole tree over {0..5} is searched without a witness
+        g = complete_bipartite_graph(2, 2)
+        out = brute_force_search(g, SearchSpec(5, 6, "strong", 9))
+        assert (out.status, out.nodes_visited) == ("exhausted-none", 8020)
+
+    def test_deep_found_node_count(self):
+        g = complete_bipartite_graph(3, 3)
+        out = brute_force_search(g, SearchSpec(6, 7, "strong", 9))
+        assert (out.status, out.nodes_visited) == ("found", 182090)
+        r = verify(g, out.witness)
+        assert r.is_iasi and r.is_strong and r.uniform_k == 9
 
     def test_deterministic(self):
         a = brute_force_search(path_graph(3), SearchSpec(5, 2, "any-strong"))
