@@ -83,19 +83,23 @@ def cmd_verify(args) -> dict:
 
 
 def cmd_construct(args) -> dict:
+    # the options each mode reads, of which it needs the first two
+    reads = {"strong": "graph k factors", "weak": "graph k", "complete": "vertices l"}[args.mode].split()
+    given = [o for o in ("graph", "k", "factors", "vertices", "l") if getattr(args, o) is not None]
+    extra = [f"--{o}" for o in given if o not in reads]
+    if extra:
+        raise ConstructionError(f"{args.mode} mode takes no {', '.join(extra)}")
+    if not all(o in given for o in reads[:2]):
+        raise ConstructionError(f"{args.mode} mode needs --{reads[0]} and --{reads[1]}")
     if args.mode == "complete":
-        if args.vertices is None or args.l is None:
-            raise ConstructionError("complete mode needs --vertices and --l")
         return construct_complete_strong(args.vertices, args.l).as_dict()
-    if args.graph is None or args.k is None:
-        raise ConstructionError(f"{args.mode} mode needs --graph and --k")
     g = _read_graph(args.graph)
     bp = bipartition_of(g)
     if bp is None:
         raise ConstructionError("graph is not bipartite")
     k = _check_k(args.k)
     if args.mode == "strong":
-        factors = _parse_factors(args.factors) if args.factors else None
+        factors = None if args.factors is None else _parse_factors(args.factors)
         f = construct_bipartite_strong(g, bp, ConstructionParams(k, factors))
     else:
         f = construct_weak_uniform(g, bp, k)

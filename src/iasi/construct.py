@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .graphs import Graph, Bipartition, is_valid_bipartition
-from .setlabel import SetLabel, difference_set, sumset
+from .setlabel import MAX_ELEMENTS, SetLabel, difference_set, sumset
 from .verify import Labeling, check_strong_criterion, divisors_of
 
 
@@ -85,6 +85,8 @@ def construct_bipartite_strong(
         raise ConstructionError("bipartition is not valid for the graph")
     pair = params.factors or default_factor_pair(params.k)
     m, n = pair.m, pair.n
+    if m * len(bp.side_x) + n * len(bp.side_y) > MAX_ELEMENTS:
+        raise ConstructionError(f"the labels would hold more than {MAX_ELEMENTS} elements")
     ys = sorted(bp.side_y)
     stride = m + n * m * len(ys)
     # m = n = 1 makes the x=0 and y=0 labels both {0}; shifting the
@@ -154,6 +156,8 @@ def construct_complete_strong(num_vertices: int, l: int) -> Labeling:
         raise ConstructionError("K_n needs at least two vertices (no isolated vertices)")
     if l < 1:
         raise ConstructionError("l must be positive")
+    if num_vertices * l > MAX_ELEMENTS:
+        raise ConstructionError(f"the labels would hold more than {MAX_ELEMENTS} elements")
     band = max(l, 2)
     offsets = mian_chowla(num_vertices)
     assignment = {

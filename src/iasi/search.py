@@ -26,7 +26,7 @@ from dataclasses import dataclass
 from itertools import combinations
 
 from .graphs import Graph, _two_coloring
-from .setlabel import SetLabel
+from .setlabel import MAX_ELEMENTS, SetLabel
 from .verify import Labeling, divisors_of
 
 TARGETS = ("any-strong", "strong", "weak")
@@ -42,7 +42,8 @@ class SearchSpec:
     """Bounds and target for one exhaustive run.
 
     Labels are drawn from subsets of {0..universe_max} with at most
-    max_label_size elements.  Targets: "any-strong" (a strong set-indexer),
+    max_label_size elements; universe_max + 1 may not exceed
+    setlabel.MAX_ELEMENTS.  Targets: "any-strong" (a strong set-indexer),
     "strong" (strongly k-uniform), "weak" (weakly k-uniform); the uniform
     targets require k.
     """
@@ -54,8 +55,8 @@ class SearchSpec:
     node_budget: int = 10_000_000
 
     def __post_init__(self):
-        if self.universe_max < 0:
-            raise ValueError("universe_max must be non-negative")
+        if not 0 <= self.universe_max < MAX_ELEMENTS:
+            raise ValueError(f"universe_max must be in 0..{MAX_ELEMENTS - 1}")
         if self.max_label_size < 1:
             raise ValueError("max_label_size must be positive")
         if self.universe_max + 1 < self.max_label_size:
@@ -93,7 +94,6 @@ class _Searcher:
         self.g = g
         self.spec = spec
         self.nodes = 0
-        self.universe = range(spec.universe_max + 1)
         # neighbors with smaller id: the edges checked when a vertex is placed
         self.back = [
             tuple(u for u in g.neighbors(v) if u < v) for v in g.vertices()
@@ -142,7 +142,7 @@ class _Searcher:
                 d = len(labels[r])
                 sizes = (k // d if self.color[v] else d,)
             for s in sizes:
-                for cand in combinations(self.universe, s):
+                for cand in combinations(universe, s):
                     self.nodes += 1
                     if self.nodes > spec.node_budget:
                         raise BudgetExceededError(
@@ -174,6 +174,8 @@ class _Searcher:
 
         if not all(self.root_sizes[r] for r in set(self.root)):
             return  # some component has no feasible size
+        # shared by every place(): combinations() copies any non-tuple input
+        universe = tuple(range(spec.universe_max + 1))
         stack = [place(0)]
         while stack:
             if not next(stack[-1], False):

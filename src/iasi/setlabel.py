@@ -11,6 +11,10 @@ from __future__ import annotations
 
 from typing import Iterable, Iterator
 
+# Most elements the labels of one construction, or one search universe, may
+# hold: 10**6 ints take tens of MB, so a larger request fails before allocating.
+MAX_ELEMENTS = 10**6
+
 
 class SetLabel:
     """Immutable finite nonempty set of non-negative integers.

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Mapping
 
 from .graphs import Graph, Edge, _id_summary, _parse_id, connected_components, is_clique
@@ -63,7 +63,7 @@ class Labeling:
         try:
             # objects load as tuples of (key, value) pairs, keeping repeated keys
             raw = json.loads(text, object_pairs_hook=tuple)
-        except json.JSONDecodeError as exc:
+        except (json.JSONDecodeError, RecursionError) as exc:
             raise LabelingError(f"labeling is not valid JSON: {exc}") from None
         if not isinstance(raw, tuple):
             raise LabelingError("labeling JSON must be an object")
@@ -81,7 +81,10 @@ class Labeling:
                 raise LabelingError(f"label for vertex {v} must be an integer array")
             if arr != sorted(set(arr)):
                 raise LabelingError(f"label for vertex {v} must be strictly ascending")
-            assignment[v] = SetLabel(arr)
+            try:
+                assignment[v] = SetLabel(arr)
+            except ValueError as exc:
+                raise LabelingError(f"label for vertex {v}: {exc}") from None
         return cls(assignment)
 
 
@@ -106,19 +109,12 @@ class VerificationReport:
     vertex_uniform_l: int | None
     completely_uniform: bool
     edge_sizes: dict[Edge, int]
-    violations: list[Violation] = field(default_factory=list)
+    violations: list[Violation]
 
     def as_dict(self) -> dict:
-        return {
-            "is_iasi": self.is_iasi,
-            "is_weak": self.is_weak,
-            "is_strong": self.is_strong,
-            "uniform_k": self.uniform_k,
-            "vertex_uniform_l": self.vertex_uniform_l,
-            "completely_uniform": self.completely_uniform,
-            "edge_sizes": {f"{u}-{v}": s for (u, v), s in self.edge_sizes.items()},
-            "violations": [viol.as_dict() for viol in self.violations],
-        }
+        edge_sizes = {f"{u}-{v}": s for (u, v), s in self.edge_sizes.items()}
+        violations = [viol.as_dict() for viol in self.violations]
+        return {**vars(self), "edge_sizes": edge_sizes, "violations": violations}
 
 
 def _require_total(g: Graph, f: Labeling) -> None:
@@ -284,20 +280,9 @@ class PartitionReport:
     clique_component_present: bool
 
     def as_dict(self) -> dict:
-        return {
-            "k": self.k,
-            "k_is_square": self.k_is_square,
-            "divisor_count": self.divisor_count,
-            "classes": {str(d): list(vs) for d, vs in self.classes.items()},
-            "components": [c.as_dict() for c in self.components],
-            "bipartite_component_count": self.bipartite_component_count,
-            "square_component_count": self.square_component_count,
-            "bipartite_bound": self.bipartite_bound,
-            "total_bound": self.total_bound,
-            "bipartite_bound_satisfied": self.bipartite_bound_satisfied,
-            "total_bound_satisfied": self.total_bound_satisfied,
-            "clique_component_present": self.clique_component_present,
-        }
+        classes = {str(d): list(vs) for d, vs in self.classes.items()}
+        components = [c.as_dict() for c in self.components]
+        return {**vars(self), "classes": classes, "components": components}
 
 
 def analyze_divisor_partition(g: Graph, f: Labeling, k: int) -> PartitionReport:

@@ -146,6 +146,103 @@ REDUCE_P3 = """\
 """
 
 
+# P_4 labeled {0},{0,1},{0,1},{0}: all four violation kinds
+VERIFY_P4_ALL_KINDS = """\
+{
+  "is_iasi": false,
+  "is_weak": false,
+  "is_strong": false,
+  "uniform_k": null,
+  "vertex_uniform_l": null,
+  "completely_uniform": false,
+  "edge_sizes": {
+    "0-1": 2,
+    "1-2": 3,
+    "2-3": 2
+  },
+  "violations": [
+    {
+      "kind": "duplicate-vertex-labels",
+      "message": "vertices 1 and 2 share the label {0,1}",
+      "witness": [
+        1,
+        2
+      ]
+    },
+    {
+      "kind": "duplicate-vertex-labels",
+      "message": "vertices 0 and 3 share the label {0}",
+      "witness": [
+        0,
+        3
+      ]
+    },
+    {
+      "kind": "weak-equality",
+      "message": "edge 1-2: |label| = 3 != max(2,2)",
+      "witness": [
+        1,
+        2
+      ]
+    },
+    {
+      "kind": "strong-equality",
+      "message": "edge 1-2: |label| = 3 != 2*2",
+      "witness": [
+        1,
+        2
+      ]
+    },
+    {
+      "kind": "duplicate-edge-labels",
+      "message": "edges 0-1 and 2-3 share the induced label {0,1}",
+      "witness": [
+        0,
+        1,
+        2,
+        3
+      ]
+    }
+  ]
+}
+"""
+
+ANALYZE_K3_SQUARE4 = """\
+{
+  "k": 4,
+  "k_is_square": true,
+  "divisor_count": 3,
+  "classes": {
+    "2": [
+      0,
+      1,
+      2
+    ]
+  },
+  "components": [
+    {
+      "vertices": [
+        0,
+        1,
+        2
+      ],
+      "kind": "square-class",
+      "sizes": [
+        2
+      ],
+      "clique": true
+    }
+  ],
+  "bipartite_component_count": 0,
+  "square_component_count": 1,
+  "bipartite_bound": 1,
+  "total_bound": 2,
+  "bipartite_bound_satisfied": true,
+  "total_bound_satisfied": true,
+  "clique_component_present": true
+}
+"""
+
 class TestVerifyCommand:
     def test_strong_p2(self, capsys, tmp_path, p2):
         labels = tmp_path / "l.json"
@@ -174,13 +271,21 @@ class TestVerifyCommand:
     def test_malformed_labels(self, capsys, tmp_path, p2):
         labels = tmp_path / "l.json"
         # a JSON boolean is not an integer label element; "00" names vertex 0
-        # a second time
-        for text in ("not json", '{"0": [true], "1": [0, 2]}',
-                     '{"0": [1], "00": [2], "1": [3]}'):
+        # a second time; nesting past the recursion limit is invalid JSON, not
+        # a traceback; an empty or a negative label names its vertex
+        deep = '{"0": ' + "[" * 200_000 + "]" * 200_000 + "}"
+        for text, needle in (
+            ("not json", "not valid JSON"),
+            ('{"0": [true], "1": [0, 2]}', "vertex 0"),
+            ('{"0": [1], "00": [2], "1": [3]}', "'00'"),
+            (deep, "not valid JSON"),
+            ('{"0": [0], "1": []}', "vertex 1"),
+            ('{"0": [0], "1": [-1]}', "vertex 1"),
+        ):
             labels.write_text(text)
-            assert_one_line_error(
-                *run(capsys, ["verify", "--graph", p2, "--labels", str(labels)])
-            )
+            code, out, err = run(capsys, ["verify", "--graph", p2, "--labels", str(labels)])
+            assert_one_line_error(code, out, err)
+            assert needle in err, err
 
     def test_sparse_huge_vertex_id(self, capsys, tmp_path):
         graph = tmp_path / "sparse.txt"
@@ -263,12 +368,21 @@ class TestConstructCommand:
         assert out1 == out2
         labels = tmp_path / "l.json"
         labels.write_text('{"0": [0, 1], "1": [10, 12], "2": [30, 34]}')
+        p4 = tmp_path / "p4.txt"
+        p4.write_text("0 1\n1 2\n2 3\n")
+        p4_labels = tmp_path / "p4.json"
+        p4_labels.write_text('{"0": [0], "1": [0, 1], "2": [0, 1], "3": [0]}')
+        k3 = tmp_path / "k3.txt"
+        k3.write_text("0 1\n1 2\n2 0\n")
         pinned = [
             (argv, K33_STRONG6),
             (["construct", "--mode", "complete", "--vertices", "4", "--l", "2"], COMPLETE_4_2),
             (["search", "--graph", p3, "--target", "strong", "--k", "4", "--universe", "4"],
              SEARCH_P3_STRONG4),
             (["reduce", "--graph", p3, "--labels", str(labels), "--vertex", "1"], REDUCE_P3),
+            (["verify", "--graph", str(p4), "--labels", str(p4_labels)], VERIFY_P4_ALL_KINDS),
+            (["analyze", "--graph", str(k3), "--labels", str(labels), "--k", "4"],
+             ANALYZE_K3_SQUARE4),
         ]
         for pinned_argv, expected in pinned:
             assert run(capsys, pinned_argv) == (0, expected, ""), pinned_argv
@@ -371,11 +485,29 @@ class TestAnalyzeCommand:
         ["construct", "--graph", "{p2}", "--k", "6", "--factors", "+2,3"],
         ["construct", "--mode", "complete", "--vertices", "3"],
         ["construct", "--mode", "weak", "--graph", "{p2}"],
+        # above the element bound: checked before any allocation
+        ["search", "--graph", "{p2}", "--target", "strong", "--k", "4",
+         "--universe", "100000000000"],
+        ["search", "--graph", "{p2}", "--target", "strong", "--k", "4",
+         "--universe", "10000000000000000000"],
+        ["construct", "--graph", "{p2}", "--k", "2147483647"],
+        ["construct", "--mode", "complete", "--vertices", "2", "--l", "2147483647"],
+        # options the mode does not read
+        ["construct", "--graph", "{p2}", "--mode", "weak", "--k", "6", "--factors", "2,abc"],
+        ["construct", "--mode", "complete", "--vertices", "3", "--l", "2", "--k", "9",
+         "--graph", "{dir}/nonexistent"],
+        ["construct", "--mode", "complete", "--vertices", "3", "--l", "2", "--factors", "1,2"],
+        ["construct", "--graph", "{p2}", "--k", "6", "--vertices", "3"],
+        ["construct", "--graph", "{p2}", "--mode", "weak", "--k", "6", "--l", "2"],
+        ["construct", "--graph", "{p2}", "--k", "6", "--factors", ""],
     ],
     ids=[
         "complete-one-vertex", "any-strong-with-k", "out-is-a-directory",
         "k-zero", "k-above-max", "factors-one-part", "factors-not-integers",
         "factors-plus-sign", "complete-without-l", "weak-without-k",
+        "universe-above-bound", "universe-above-int64", "strong-prime-k-above-bound",
+        "complete-l-above-bound", "weak-with-factors", "complete-with-graph-and-k",
+        "complete-with-factors", "strong-with-vertices", "weak-with-l", "factors-empty",
     ],
 )
 def test_rejected_input_is_a_one_line_error(capsys, tmp_path, p2, argv):

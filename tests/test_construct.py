@@ -18,6 +18,7 @@ from iasi import (
     check_weak_characterization,
     complete_bipartite_graph,
     complete_graph,
+    connected_components,
     construct_bipartite_strong,
     construct_complete_strong,
     construct_weak_uniform,
@@ -253,6 +254,32 @@ class TestWeakUniform:
             bp = bipartition_of(g)
             strong = construct_bipartite_strong(g, bp, ConstructionParams(k, FactorPair(1, k)))
             assert construct_weak_uniform(g, bp, k) == strong
+
+
+def test_constructors_verify_on_random_bipartite_graphs():
+    # 2-7 vertices per side, sparse or dense cross edges; a vertex left
+    # isolated gets one random cross edge, so sparse graphs are often
+    # disconnected
+    rng = Random(0xB1)
+    disconnected = 0
+    for _ in range(30):
+        a, b = rng.randint(2, 7), rng.randint(2, 7)
+        p = rng.choice((0.1, 0.3, 0.7))
+        edges = {(x, a + y) for x in range(a) for y in range(b) if rng.random() < p}
+        for v in range(a + b):
+            if not any(v in e for e in edges):
+                edges.add((v, rng.randrange(a, a + b)) if v < a else (rng.randrange(a), v))
+        g = Graph(a + b, edges)
+        disconnected += len(connected_components(g)) > 1
+        bp = bipartition_of(g)
+        for k in range(1, 13):
+            for pair in factor_pairs(k):
+                rep = verify(g, construct_bipartite_strong(g, bp, ConstructionParams(k, pair)))
+                assert (rep.is_iasi, rep.is_strong, rep.uniform_k) == (True, True, k), (edges, pair)
+        for k in range(1, 7):
+            rep = verify(g, construct_weak_uniform(g, bp, k))
+            assert (rep.is_iasi, rep.is_weak, rep.uniform_k) == (True, True, k), (edges, k)
+    assert disconnected >= 5
 
 
 class TestTopologicalReduce:

@@ -20,6 +20,7 @@ from iasi import (
     path_graph,
     verify,
 )
+from iasi.setlabel import MAX_ELEMENTS
 from helpers import graphs_without_isolated, small_sets
 
 
@@ -155,6 +156,10 @@ class TestSpecValidation:
     def test_rejects_bad_universe(self):
         with pytest.raises(ValueError):
             SearchSpec(-1, 1, "any-strong")
+        # the universe may hold MAX_ELEMENTS elements, no more
+        SearchSpec(MAX_ELEMENTS - 1, 1, "any-strong")
+        with pytest.raises(ValueError):
+            SearchSpec(MAX_ELEMENTS, 1, "any-strong")
 
     def test_rejects_oversized_labels(self):
         with pytest.raises(ValueError):
