@@ -18,8 +18,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .graphs import Graph, Bipartition, is_valid_bipartition
-from .setlabel import MAX_ELEMENTS, SetLabel, difference_set, sumset
-from .verify import Labeling, check_strong_criterion, divisors_of
+from .setlabel import MAX_ELEMENTS, SetLabel, difference_set
+from .verify import Labeling, _edge_pass, divisors_of
 
 
 class ConstructionError(ValueError):
@@ -183,23 +183,23 @@ def topological_reduce(g: Graph, f: Labeling, v: int) -> tuple[Graph, Labeling]:
     u, w = g.neighbors(v)
     if g.has_edge(u, w):
         raise ReductionError(f"neighbors {u} and {w} are adjacent; reduction undefined")
-    if not check_strong_criterion(g, f):
+    # one pass over the old edges and then the new one: the old edges must
+    # be strong and carry distinct labels, the new one must be strong, and
+    # the only old edge with its label may be one at v, which disappears
+    new = len(g.edges)
+    _, not_strong, firsts = _edge_pass(g, f, new_edge=(u, w))
+    if not_strong and not_strong[0] != new:
         raise ReductionError("labeling is not strong")
-    labels = f.assignment
-    edge_index = {sumset(labels[a], labels[b]): (a, b) for a, b in g.edges}
-    if len(edge_index) < len(g.edges) or len(set(labels.values())) < len(labels):
+    if len(set(f.assignment.values())) < len(f) or any(i != new for i in firsts):
         raise ReductionError("labeling is not a set-indexer")
-    shared = difference_set(f[u]) & difference_set(f[w])
-    if shared:
+    if not_strong:
+        shared = sorted(difference_set(f[u]) & difference_set(f[w]))
         raise ReductionError(
-            f"difference sets of {u} and {w} share {sorted(shared)}",
-            shared_differences=tuple(sorted(shared)),
+            f"difference sets of {u} and {w} share {shared}",
+            shared_differences=tuple(shared),
         )
-    # edge labels are injective, so this is the only edge that could carry
-    # the new label; an edge at v disappears with v
-    clash = edge_index.get(sumset(f[u], f[w]))
-    if clash is not None and v not in clash:
-        a, b = clash
+    if new in firsts and v not in firsts[new][0]:
+        a, b = firsts[new][0]
         raise ReductionError(
             f"new edge {u}-{w} would duplicate the label of edge {a}-{b}"
         )

@@ -79,11 +79,26 @@ class Graph:
         return f"Graph({self.vertex_count}, {list(self.edges)})"
 
 
+# Longest id an edge list, a labeling key or an integer option may spell:
+# int() refuses longer decimal strings under Python's default limit.
+MAX_ID_DIGITS = 4300
+
+
+class _IdTooLongError(ValueError):
+    """A decimal id with more than MAX_ID_DIGITS digits."""
+
+
+def _clip(text: str, limit: int = 40) -> str:
+    """text cut to limit characters and '…', so an error line stays short
+    whatever the input holds."""
+    return text if len(text) <= limit else text[:limit] + "…"
+
+
 def _id_summary(ids: Iterable[int], count: int) -> str:
     """The first ten of count ids, then how many more: a short error line."""
-    first = list(islice(ids, 10))
+    first = [_clip(str(v)) for v in islice(ids, 10)]
     more = f" and {count - len(first)} more" if count > len(first) else ""
-    return f"{first}{more}"
+    return f"[{', '.join(first)}]{more}"
 
 
 def _isolated_vertices(vertex_count: int, edges: set[Edge]) -> str:
@@ -96,12 +111,14 @@ def _isolated_vertices(vertex_count: int, edges: set[Edge]) -> str:
 def _parse_id(token: str) -> int:
     """The id a token spells in canonical decimal form, as str() writes it
     (no '+', '_', leading zero or non-ASCII digit), else ValueError."""
+    if len(token) > MAX_ID_DIGITS and token.removeprefix("-").isdecimal():
+        raise _IdTooLongError(f"{_clip(token)!r} is longer than {MAX_ID_DIGITS} digits")
     try:
         v = int(token)
     except ValueError:
-        raise ValueError(f"{token!r} is not an integer") from None
+        raise ValueError(f"{_clip(token)!r} is not an integer") from None
     if str(v) != token:
-        raise ValueError(f"{token!r} is not in canonical decimal form")
+        raise ValueError(f"{_clip(token)!r} is not in canonical decimal form")
     return v
 
 
@@ -128,15 +145,17 @@ def parse_edge_list(text: str) -> Graph:
             continue
         parts = line.split()
         if len(parts) != 2:
-            raise GraphFormatError(f"line {lineno}: expected two vertex ids, got {line!r}")
+            raise GraphFormatError(f"line {lineno}: expected two vertex ids, got {_clip(line)!r}")
         try:
             u, v = _parse_id(parts[0]), _parse_id(parts[1])
+        except _IdTooLongError as exc:
+            raise GraphFormatError(f"line {lineno}: vertex id {exc}") from None
         except ValueError:
-            raise GraphFormatError(f"line {lineno}: non-integer vertex id in {line!r}") from None
+            raise GraphFormatError(f"line {lineno}: non-integer vertex id in {_clip(line)!r}") from None
         if u < 0 or v < 0:
-            raise GraphFormatError(f"line {lineno}: negative vertex id in {line!r}")
+            raise GraphFormatError(f"line {lineno}: negative vertex id in {_clip(line)!r}")
         if u == v:
-            raise GraphFormatError(f"line {lineno}: self-loop at vertex {u}")
+            raise GraphFormatError(f"line {lineno}: self-loop at vertex {_clip(parts[0])}")
         max_id = max(max_id, u, v)
         edges.append((u, v))
     if not edges:

@@ -4,7 +4,9 @@ Vertex labels are finite nonempty sets of non-negative integers.  The two
 operations everything else is built on are the sumset A + B (all pairwise
 sums) and the difference set D_A (all positive differences between distinct
 elements).  The sumset of two sets is as large as possible, |A + B| = |A||B|,
-exactly when their difference sets are disjoint.
+exactly when their difference sets are disjoint.  Verification leans on
+that: it takes the size of a strong edge label from the difference sets and
+builds a sumset only where the size or the label itself is in question.
 """
 
 from __future__ import annotations

@@ -10,10 +10,11 @@ from __future__ import annotations
 
 import json
 import math
+from collections import Counter
 from dataclasses import dataclass
 from typing import Mapping
 
-from .graphs import Graph, Edge, _id_summary, _parse_id, connected_components, is_clique
+from .graphs import Graph, Edge, _clip, _id_summary, _parse_id, connected_components, is_clique
 from .setlabel import SetLabel, difference_set, sumset
 
 
@@ -73,18 +74,19 @@ class Labeling:
                 v = _parse_id(key)
             except ValueError as exc:
                 raise LabelingError(f"vertex key {exc}") from None
+            vid = _clip(key)  # key is v's canonical decimal form
             if v in assignment:
-                raise LabelingError(f"vertex {v} is labeled twice")
+                raise LabelingError(f"vertex {vid} is labeled twice")
             if v < 0:
-                raise LabelingError(f"negative vertex id {v}")
+                raise LabelingError(f"negative vertex id {vid}")
             if not isinstance(arr, list) or not all(type(e) is int for e in arr):
-                raise LabelingError(f"label for vertex {v} must be an integer array")
+                raise LabelingError(f"label for vertex {vid} must be an integer array")
             if arr != sorted(set(arr)):
-                raise LabelingError(f"label for vertex {v} must be strictly ascending")
+                raise LabelingError(f"label for vertex {vid} must be strictly ascending")
             try:
                 assignment[v] = SetLabel(arr)
             except ValueError as exc:
-                raise LabelingError(f"label for vertex {v}: {exc}") from None
+                raise LabelingError(f"label for vertex {vid}: {exc}") from None
         return cls(assignment)
 
 
@@ -126,18 +128,86 @@ def _require_total(g: Graph, f: Labeling) -> None:
         raise LabelingError(f"labeling references unknown vertices {_id_summary(extra, len(extra))}")
 
 
+def _edge_pass(
+    g: Graph, f: Labeling, index: bool = True, new_edge: Edge | None = None
+) -> tuple[list[int], list[int], dict[int, tuple[Edge, SetLabel]]]:
+    """Induced label sizes of g's edges, then of new_edge if one is given,
+    by the method verify describes.
+
+    Returns (sizes, not_strong, firsts): each edge's label size, the
+    positions of the edges that are not strong, and, with index=True, each
+    position whose label an earlier edge already carries -> (the first such
+    edge, the label).  A label of up to 5 elements meets the size guard
+    whenever it has a neighbor of 2 or more elements, and its difference
+    set costs at most 10 differences, so the guard's sum is taken only for
+    larger labels.
+    """
+    _require_total(g, f)
+    edges = g.edges if new_edge is None else (*g.edges, new_edge)
+    labels = list(f.assignment.values())  # f's keys are exactly 0..n-1
+    size = [len(a.elements) for a in labels]
+    diffs = [
+        frozenset() if s == 1
+        else difference_set(a)
+        if s <= 5 or s - 1 <= 2 * sum(size[u] for u in g.neighbors(v) if size[u] > 1)
+        else None
+        for v, (a, s) in enumerate(zip(labels, size))
+    ]
+    sizes: list[int] = []
+    not_strong: list[int] = []
+    sums: dict[int, SetLabel] = {}
+    for i, (u, v) in enumerate(edges):
+        du, dv = diffs[u], diffs[v]
+        if du is None or dv is None:
+            strong = size[u] == 1 or size[v] == 1
+        else:
+            strong = du.isdisjoint(dv)
+        if strong:
+            sizes.append(size[u] * size[v])
+            continue
+        sums[i] = lab = sumset(labels[u], labels[v])
+        sizes.append(len(lab.elements))
+        if sizes[i] != size[u] * size[v]:
+            not_strong.append(i)
+    firsts: dict[int, tuple[Edge, SetLabel]] = {}
+    if index:
+        lo = [a.elements[0] for a in labels]
+        hi = [a.elements[-1] for a in labels]
+        keys = [(lo[u] + lo[v], hi[u] + hi[v], n) for (u, v), n in zip(edges, sizes)]
+        count = Counter(keys)
+        if len(count) < len(keys):
+            # the first position with each label, per shared key
+            buckets: dict[tuple, dict[SetLabel, int]] = {}
+            for i, key in enumerate(keys):
+                if count[key] > 1:
+                    lab = sums[i] if i in sums else sumset(*(labels[x] for x in edges[i]))
+                    first = buckets.setdefault(key, {}).setdefault(lab, i)
+                    if first != i:
+                        firsts[i] = (edges[first], lab)
+    return sizes, not_strong, firsts
+
+
 def verify(g: Graph, f: Labeling) -> VerificationReport:
     """Full classification of the labeled graph.
 
-    Edge labels are induced sumsets; injectivity of the edge map is set
-    equality of those sumsets, not mere size equality.  Edges are processed
-    in sorted order so the violation list is deterministic.
+    Edge labels are induced sumsets, and injectivity of the edge map is set
+    equality of those sumsets.  An edge with a singleton endpoint, or whose
+    endpoint labels have disjoint difference sets, is strong with size
+    |A|*|B|, so it needs no sumset.  Edges whose keys (min, max, size)
+    differ have different labels; only edges with equal keys, and edges
+    that are not strong, get their sumsets built and compared exactly.  A
+    difference set D_v is built only when |f(v)| - 1 <= 2 * (sum of |f(u)|
+    over the neighbors u with |f(u)| >= 2), so its quadratic cost never
+    exceeds the sumsets it saves; without it, an edge at v whose other end
+    is not a singleton takes the exact sumset.  No input costs more than one
+    sumset per edge.  Edges are processed in sorted order so the violation
+    list is deterministic.
     """
-    _require_total(g, f)
+    sizes, _, firsts = _edge_pass(g, f)
     labels = f.assignment
     size = [len(labels[v].elements) for v in g.vertices()]
     violations: list[Violation] = []
-    is_iasi = True
+    is_iasi = not firsts
 
     seen_labels: dict[SetLabel, int] = {}
     for v in g.vertices():
@@ -153,19 +223,13 @@ def verify(g: Graph, f: Labeling) -> VerificationReport:
                 )
             )
 
-    edge_sizes: dict[Edge, int] = {}
-    edge_labels: dict[SetLabel, Edge] = {}
+    edge_sizes = dict(zip(g.edges, sizes))
     weak_ok = True
     strong_ok = True
-    for edge in g.edges:
-        u, v = edge
-        lab = sumset(labels[u], labels[v])
-        n, su, sv = len(lab.elements), size[u], size[v]
-        edge_sizes[edge] = n
-        first = edge_labels.setdefault(lab, edge)
-        if first is not edge:
-            is_iasi = False
-            pu, pv = first
+    for i, ((u, v), n) in enumerate(edge_sizes.items()):
+        su, sv = size[u], size[v]
+        if i in firsts:
+            (pu, pv), lab = firsts[i]
             violations.append(
                 Violation(
                     "duplicate-edge-labels",
@@ -222,11 +286,10 @@ def check_strong_criterion(g: Graph, f: Labeling) -> bool:
     """True iff adjacent labels always have disjoint difference sets.
 
     Equivalent to every edge label reaching the maximal size
-    |f(u)|*|f(v)|, but decided without computing any sumset.
+    |f(u)|*|f(v)|, which is how an edge is decided where a difference set
+    would cost more than the sumset (see _edge_pass).
     """
-    _require_total(g, f)
-    diffs = {v: difference_set(f[v]) for v in g.vertices()}
-    return all(diffs[u].isdisjoint(diffs[v]) for u, v in g.edges)
+    return not _edge_pass(g, f, index=False)[1]
 
 
 def divisors_of(k: int) -> list[int]:
@@ -296,14 +359,15 @@ def analyze_divisor_partition(g: Graph, f: Labeling, k: int) -> PartitionReport:
     for non-square k at most n/2 bipartite components; for square k at most
     (n+1)/2 components of which at most (n-1)/2 are bipartite pairs.
     """
-    if not check_strong_criterion(g, f):
+    sizes, not_strong, _ = _edge_pass(g, f, index=False)
+    if not_strong:
         raise ValueError(
             f"labeling is not strongly {k}-uniform "
             "(adjacent labels share a difference)"
         )
     size = [len(f.assignment[v].elements) for v in g.vertices()]
-    for u, v in g.edges:
-        if size[u] * size[v] != k:
+    for (u, v), n in zip(g.edges, sizes):
+        if n != k:
             raise ValueError(
                 f"labeling is not strongly {k}-uniform "
                 f"(edge {u}-{v}: {size[u]}*{size[v]} != {k})"

@@ -16,6 +16,53 @@ def naive_difference_set(a):
     return sorted({x - y for x in a for y in a if x > y})
 
 
+def reference_verify(g, f):
+    """verify(g, f).as_dict() by the plain per-edge loop: every edge label
+    is built with naive_sumset and keyed into one dict, so injectivity is
+    set equality of the sumsets themselves."""
+
+    def text(elements):
+        return "{" + ",".join(map(str, elements)) + "}"
+
+    labels = [list(f[v]) for v in g.vertices()]
+    violations = []
+    seen = {}
+    for v, a in enumerate(labels):
+        first = seen.setdefault(tuple(a), v)
+        if first != v:
+            violations.append(("duplicate-vertex-labels",
+                               f"vertices {first} and {v} share the label {text(a)}", [first, v]))
+    edge_sizes = {}
+    edge_labels = {}
+    for u, v in g.edges:
+        lab = naive_sumset(labels[u], labels[v])
+        n, su, sv = len(lab), len(labels[u]), len(labels[v])
+        edge_sizes[f"{u}-{v}"] = n
+        pu, pv = edge_labels.setdefault(tuple(lab), (u, v))
+        if (pu, pv) != (u, v):
+            violations.append(("duplicate-edge-labels",
+                               f"edges {pu}-{pv} and {u}-{v} share the induced label {text(lab)}",
+                               [pu, pv, u, v]))
+        if n != max(su, sv):
+            violations.append(("weak-equality", f"edge {u}-{v}: |label| = {n} != max({su},{sv})", [u, v]))
+        if n != su * sv:
+            violations.append(("strong-equality", f"edge {u}-{v}: |label| = {n} != {su}*{sv}", [u, v]))
+    kinds = {kind for kind, _, _ in violations}
+    ks, ls = set(edge_sizes.values()), {len(a) for a in labels}
+    uniform_k = ks.pop() if len(ks) == 1 else None
+    vertex_uniform_l = ls.pop() if len(ls) == 1 else None
+    return {
+        "is_iasi": not kinds & {"duplicate-vertex-labels", "duplicate-edge-labels"},
+        "is_weak": "weak-equality" not in kinds,
+        "is_strong": "strong-equality" not in kinds,
+        "uniform_k": uniform_k,
+        "vertex_uniform_l": vertex_uniform_l,
+        "completely_uniform": uniform_k is not None and vertex_uniform_l is not None,
+        "edge_sizes": edge_sizes,
+        "violations": [{"kind": k, "message": m, "witness": w} for k, m, w in violations],
+    }
+
+
 def small_sets(universe_max, max_size):
     """Every nonempty subset of {0..universe_max} with at most max_size
     elements, ordered by size then lexicographically."""

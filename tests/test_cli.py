@@ -500,6 +500,10 @@ class TestAnalyzeCommand:
         ["construct", "--graph", "{p2}", "--k", "6", "--vertices", "3"],
         ["construct", "--graph", "{p2}", "--mode", "weak", "--k", "6", "--l", "2"],
         ["construct", "--graph", "{p2}", "--k", "6", "--factors", ""],
+        # over-long input is clipped in the error line
+        ["verify", "--graph", "{dir}/long-id.txt", "--labels", "{dir}/long-key.json"],
+        ["verify", "--graph", "{p2}", "--labels", "{dir}/long-key.json"],
+        ["verify", "--graph", "{p2}", "--labels", "{dir}/long-unknown.json"],
     ],
     ids=[
         "complete-one-vertex", "any-strong-with-k", "out-is-a-directory",
@@ -508,10 +512,16 @@ class TestAnalyzeCommand:
         "universe-above-bound", "universe-above-int64", "strong-prime-k-above-bound",
         "complete-l-above-bound", "weak-with-factors", "complete-with-graph-and-k",
         "complete-with-factors", "strong-with-vertices", "weak-with-l", "factors-empty",
+        "edge-id-above-digit-limit", "long-labeling-key", "long-unknown-vertex",
     ],
 )
 def test_rejected_input_is_a_one_line_error(capsys, tmp_path, p2, argv):
-    assert_one_line_error(*run(capsys, [a.format(p2=p2, dir=tmp_path) for a in argv]))
+    (tmp_path / "long-id.txt").write_text("0 " + "1" * 5000 + "\n")
+    (tmp_path / "long-key.json").write_text(json.dumps({"a" * 3000: [0]}))
+    (tmp_path / "long-unknown.json").write_text(json.dumps({"0": [0], "1": [1], "7" * 4000: [2]}))
+    code, out, err = run(capsys, [a.format(p2=p2, dir=tmp_path) for a in argv])
+    assert_one_line_error(code, out, err)
+    assert len(err.encode()) < 200, err
 
 
 @pytest.mark.parametrize(

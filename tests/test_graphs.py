@@ -78,6 +78,17 @@ class TestParseEdgeList:
         with pytest.raises(GraphFormatError, match="line 1: negative vertex id"):
             parse_edge_list("-1 0")
 
+    def test_over_long_input_is_clipped(self):
+        # int() refuses more than 4300 digits; the error says so, not
+        # "non-integer", and quotes at most 40 characters of the input
+        with pytest.raises(GraphFormatError) as excinfo:
+            parse_edge_list("0 " + "1" * 5000)
+        assert str(excinfo.value) == f"line 1: vertex id '{'1' * 40}…' is longer than 4300 digits"
+        for text in ("0 x" + "1" * 5000, "0 1 " + "2" * 5000, f"{'3' * 4000} {'3' * 4000}"):
+            with pytest.raises(GraphFormatError) as excinfo:
+                parse_edge_list(text)
+            assert len(str(excinfo.value)) < 100
+
     def test_empty_input(self):
         with pytest.raises(GraphFormatError):
             parse_edge_list("# nothing\n")

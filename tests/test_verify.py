@@ -1,24 +1,36 @@
 """Classification of labeled graphs and the divisor-class analyzer."""
 
+import importlib
+import json
+from collections import Counter
 from itertools import product
 from random import Random
 
 import pytest
 
 from iasi import (
+    ConstructionParams,
     Graph,
     Labeling,
     LabelingError,
     SetLabel,
     analyze_divisor_partition,
+    bipartition_of,
     check_strong_criterion,
     check_weak_characterization,
+    complete_bipartite_graph,
     complete_graph,
+    construct_bipartite_strong,
+    construct_complete_strong,
     divisors_of,
     path_graph,
+    topological_reduce,
     verify,
 )
-from helpers import delete_edge, delete_vertex, small_sets
+from helpers import delete_edge, delete_vertex, naive_sumset, reference_verify, small_sets
+
+# the module, not the function the package re-exports under its name
+verify_module = importlib.import_module("iasi.verify")
 
 
 def labeling(d):
@@ -150,6 +162,118 @@ def test_flags_agree_with_criteria_on_random_labelings():
         assert check_weak_characterization(g, f) == r.is_weak
         outcomes.add((r.is_strong, r.is_weak))
     assert {s for s, _ in outcomes} == {w for _, w in outcomes} == {True, False}
+
+
+def edge_key(a, b):
+    lab = naive_sumset(a, b)
+    return lab[0], lab[-1], len(lab)
+
+
+def test_verify_matches_the_reference_loop():
+    # small universes and few distinct labels, so edges share their
+    # (min, max, size) key with equal and with unequal sumsets, edge labels
+    # repeat and edges fail to be strong
+    rng = Random(0xD1FF)
+    seen = Counter()
+    for _ in range(500):
+        n = rng.randint(2, 8)
+        g = random_graph(rng, n)
+        u = rng.choice((4, 6, 12))
+        # half the labels span {0..u}, so many edge labels share min and max
+        pool = [
+            rng.sample(range(u), rng.randint(1, 3)) if rng.random() < 0.5
+            else [0, u, *rng.sample(range(1, u), rng.randint(0, 2))]
+            for _ in range(n + 2)
+        ]
+        f = labeling({v: rng.choice(pool) for v in range(n)})
+        want = reference_verify(g, f)
+        assert json.dumps(verify(g, f).as_dict()) == json.dumps(want)
+        assert check_strong_criterion(g, f) == want["is_strong"]
+        keyed = {}
+        for u, v in g.edges:
+            keyed.setdefault(edge_key(f[u], f[v]), set()).add(tuple(naive_sumset(f[u], f[v])))
+        seen["key shared by unequal labels"] += any(len(labs) > 1 for labs in keyed.values())
+        seen["duplicate edge label"] += "duplicate-edge-labels" in json.dumps(want)
+        seen["not strong"] += not want["is_strong"]
+        seen["strong set-indexer"] += want["is_strong"] and want["is_iasi"]
+    assert len(seen) == 4 and min(seen.values()) >= 20, seen
+
+
+def test_verify_matches_the_reference_on_built_key_collisions():
+    # {2}+{0,1,4} and {2}+{0,3,4} share the key (2, 6, 3) but differ;
+    # {1}+{1,2,5} repeats the first label; {5,6}+{0,1} is not strong
+    g = Graph(7, [(0, 1), (0, 2), (3, 4), (3, 5), (4, 6)])
+    f = labeling({0: [2], 1: [0, 1, 4], 2: [0, 3, 4], 3: [1], 4: [5, 6], 5: [1, 2, 5], 6: [0, 1]})
+    r = verify(g, f)
+    assert json.dumps(r.as_dict()) == json.dumps(reference_verify(g, f))
+    assert [v.kind for v in r.violations] == ["duplicate-edge-labels", "weak-equality", "strong-equality"]
+    assert r.violations[0].witness == (0, 1, 3, 5)
+
+
+@pytest.fixture
+def calls(monkeypatch):
+    """The argument tuples of every sumset and difference_set call the
+    edge pass makes, counted by a wrapper around each."""
+    made = {"sumset": Counter(), "difference_set": Counter()}
+    for name, counter in made.items():
+        real = getattr(verify_module, name)
+
+        def counting(*args, name=name, real=real, counter=counter):
+            counter[tuple(a.elements for a in args)] += 1
+            # a quadratic difference set of a large label would run for
+            # minutes; fail at once instead
+            assert name == "sumset" or len(args[0]) <= 1000
+            return real(*args)
+
+        monkeypatch.setattr(verify_module, name, counting)
+    return made
+
+
+class TestEdgePassCost:
+    def test_strong_constructions_build_no_sumset(self, calls):
+        g = complete_bipartite_graph(150, 150)
+        f = construct_bipartite_strong(g, bipartition_of(g), ConstructionParams(60))
+        assert verify(g, f).is_strong
+        assert verify(complete_graph(150), construct_complete_strong(150, 3)).is_strong
+        assert not calls["sumset"]
+
+    def test_colliding_keys_build_each_sumset_once(self, calls):
+        # every leaf edge has the key (0, 10**6, 3) and a label of its own
+        g = complete_bipartite_graph(1, 20_000)
+        f = labeling({0: [0], **{i: [0, i, 10**6] for i in range(1, 20_001)}})
+        r = verify(g, f)
+        assert r.is_iasi and r.is_strong and not r.violations
+        assert sum(calls["sumset"].values()) == 20_000
+        assert max(calls["sumset"].values()) == 1
+
+    def test_no_difference_set_of_a_large_label_next_to_a_small_one(self, calls):
+        big = list(range(0, 200_000, 2))
+        for small, strong in (([0, 1], True), ([0, 2], False)):
+            f = labeling({0: small, 1: big})
+            assert verify(path_graph(2), f).is_strong is strong
+            assert check_strong_criterion(path_graph(2), f) is strong
+        assert max(len(args[0]) for args in calls["difference_set"]) == 2
+        # next to singletons the large label needs neither: the edges are strong
+        calls["sumset"].clear()
+        r = verify(Graph(3, [(0, 1), (0, 2)]), labeling({0: big, 1: [1], 2: [3]}))
+        assert r.is_strong and r.is_iasi
+        assert not calls["sumset"]
+        assert max(len(args[0]) for args in calls["difference_set"]) == 2
+
+    def test_reduce_builds_sumsets_only_in_the_new_edge_bucket(self, calls):
+        n = 2000
+        g = path_graph(n)
+        f = labeling({i: [4 * n * i, 4 * n * i + i + 1] for i in range(n)})
+        v, (u, w) = 1000, g.neighbors(1000)
+        bucket = {
+            (f[a].elements, f[b].elements)
+            for a, b in g.edges
+            if edge_key(f[a], f[b]) == edge_key(f[u], f[w])
+        }
+        h, fh = topological_reduce(g, f, v)
+        assert verify(h, fh).is_strong
+        allowed = bucket | {(f[u].elements, f[w].elements)}
+        assert set(calls["sumset"]) <= allowed
 
 
 class TestRestrictionClosure:
