@@ -2,9 +2,13 @@
 
 The search assigns candidate labels to vertices in ascending id order,
 enumerating candidates by size and then lexicographically, and prunes a
-branch as soon as it can no longer complete: duplicate vertex labels,
-intersecting difference sets on an edge of a strong target, and duplicate
-edge labels.
+branch as soon as it can no longer complete: duplicate vertex labels, an
+edge that is not strong, and duplicate edge labels.  An edge label is held
+as the bitmask of its sums, so an edge uv is strong exactly when the mask
+has |f(u)|·|f(v)| bits, which holds exactly when the difference sets of
+f(u) and f(v) are disjoint.  The mask of each (placed label, candidate)
+pair is kept in a memo that is flushed when it reaches a fixed size, so
+the search's memory does not grow with the universe or the node budget.
 
 Label sizes come from a table built once per search.  Under a uniform
 target the sizes of adjacent vertices multiply to k (weak: they pair 1 with
@@ -30,6 +34,12 @@ from .setlabel import MAX_ELEMENTS, SetLabel
 from .verify import Labeling, divisors_of
 
 TARGETS = ("any-strong", "strong", "weak")
+
+# The search's pair memo is flushed when it holds about this many bytes, each
+# entry counted as _ENTRY_BYTES plus its mask, so its memory stays bounded
+# whatever the universe and the node budget.
+_MEMO_BYTES = 1 << 22
+_ENTRY_BYTES = 64
 
 
 class BudgetExceededError(RuntimeError):
@@ -121,15 +131,36 @@ class _Searcher:
         spec = self.spec
         nv = self.g.vertex_count
         k = spec.k
-        # The size table already makes every edge label reach k: strong
-        # sizes multiply to k and disjoint difference sets make the sumset
-        # full; weak sizes pair a singleton with a k-set.  What is left to
-        # check is distinct labels and, for strong targets, the differences.
-        strong = spec.target != "weak"
+        # A candidate's id is size * budget plus its rank among the labels of
+        # its size, as combinations() yields them: no rank reaches the node
+        # budget.  The size table already makes a strong edge's label reach
+        # k (strong sizes multiply to k; weak sizes pair a singleton, always
+        # strong, with a k-set), so what is left to check is strength,
+        # |A + B| = |A|·|B|, and distinct labels.
+        budget = spec.node_budget
         labels: list[tuple[int, ...]] = [()] * nv
-        diffs: list[frozenset[int] | None] = [None] * nv
-        edge_sums: set[frozenset[int]] = set()
-        used_labels: set[tuple[int, ...]] = set()
+        used_ids: set[int] = set()
+        edge_masks: set[int] = set()
+        # The pair memo: placed id -> row, candidate id -> edge label mask,
+        # or 0 if the edge is not strong.  rows[v] is the row of v's label.
+        # A mask depends only on the two labels, so flushing is always safe.
+        memo: dict[int, dict[int, int]] = {}
+        rows: list[dict[int, int]] = [{} for _ in range(nv)]
+        memo_bytes = 0
+
+        def store(table: dict, key: int, value, cost: int):
+            """table[key] = value, flushing the memo first when it is full."""
+            nonlocal memo_bytes
+            if memo_bytes >= _MEMO_BYTES:
+                # a placed vertex may still hold a row an earlier flush
+                # dropped from the memo, so its row is cleared too
+                for row in (*memo.values(), *rows):
+                    row.clear()
+                memo.clear()
+                memo_bytes = 0
+            table[key] = value
+            memo_bytes += cost
+            return value
 
         def place(v: int):
             """Yield True once per candidate label of v that passes every
@@ -141,36 +172,54 @@ class _Searcher:
             else:
                 d = len(labels[r])
                 sizes = (k // d if self.color[v] else d,)
+            back = self.back[v]
             for s in sizes:
-                for cand in combinations(universe, s):
-                    self.nodes += 1
-                    if self.nodes > spec.node_budget:
-                        raise BudgetExceededError(
-                            f"node budget {spec.node_budget} exceeded"
-                        )
-                    if cand in used_labels:
+                # cid is the last candidate tried, and while v tries labels
+                # of size s the node count is cid - offset; self.nodes is
+                # written back before each yield and read after it
+                first = s * budget
+                cid = first - 1
+                offset = cid - self.nodes
+                last = offset + budget  # the last cid within the node budget
+                for cid, cand in enumerate(combinations(universe, s), first):
+                    if cid > last:
+                        self.nodes = cid - offset
+                        raise BudgetExceededError(f"node budget {budget} exceeded")
+                    if cid in used_ids:
                         continue
-                    cdiff = (
-                        frozenset(b - a for a, b in combinations(cand, 2))
-                        if strong
-                        else None
-                    )
-                    new_sums = set()
-                    for u in self.back[v]:
-                        if strong and not diffs[u].isdisjoint(cdiff):
+                    cmask = 0
+                    new_masks = []
+                    for u in back:
+                        row = rows[u]
+                        mask = row.get(cid)
+                        if mask is None:
+                            if not cmask:
+                                for b in cand:
+                                    cmask |= 1 << b
+                            mask = 0
+                            for a in labels[u]:
+                                mask |= cmask << a
+                            if mask.bit_count() != len(labels[u]) * s:
+                                mask = 0
+                            store(row, cid, mask, _ENTRY_BYTES + mask.bit_length() // 8)
+                        if not mask or mask in edge_masks or mask in new_masks:
                             break
-                        esum = frozenset(a + b for a in labels[u] for b in cand)
-                        if esum in edge_sums or esum in new_sums:
-                            break
-                        new_sums.add(esum)
+                        new_masks.append(mask)
                     else:
                         labels[v] = cand
-                        diffs[v] = cdiff
-                        used_labels.add(cand)
-                        edge_sums.update(new_sums)
+                        row = memo.get(cid)
+                        if row is None:
+                            row = store(memo, cid, {}, _ENTRY_BYTES)
+                        rows[v] = row
+                        used_ids.add(cid)
+                        edge_masks.update(new_masks)
+                        self.nodes = cid - offset
                         yield True
-                        edge_sums.difference_update(new_sums)
-                        used_labels.remove(cand)
+                        offset = cid - self.nodes
+                        last = offset + budget
+                        edge_masks.difference_update(new_masks)
+                        used_ids.remove(cid)
+                self.nodes = cid - offset
 
         if not all(self.root_sizes[r] for r in set(self.root)):
             return  # some component has no feasible size

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 from collections import Counter
 from dataclasses import dataclass
 from typing import Mapping
@@ -66,6 +67,9 @@ class Labeling:
             raw = json.loads(text, object_pairs_hook=tuple)
         except (json.JSONDecodeError, RecursionError) as exc:
             raise LabelingError(f"labeling is not valid JSON: {exc}") from None
+        except ValueError:  # int() refuses the digits of a huge element
+            limit = sys.get_int_max_str_digits()
+            raise LabelingError(f"labeling holds an integer longer than {limit} digits") from None
         if not isinstance(raw, tuple):
             raise LabelingError("labeling JSON must be an object")
         assignment = {}

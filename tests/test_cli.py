@@ -1,6 +1,7 @@
 """End-to-end CLI checks: flag grammar, JSON output, exit codes, round trips."""
 
 import json
+import time
 import types
 
 import pytest
@@ -272,7 +273,8 @@ class TestVerifyCommand:
         labels = tmp_path / "l.json"
         # a JSON boolean is not an integer label element; "00" names vertex 0
         # a second time; nesting past the recursion limit is invalid JSON, not
-        # a traceback; an empty or a negative label names its vertex
+        # a traceback; an empty or a negative label names its vertex; an
+        # element too long for int() is a labeling error, not Python's message
         deep = '{"0": ' + "[" * 200_000 + "]" * 200_000 + "}"
         for text, needle in (
             ("not json", "not valid JSON"),
@@ -281,6 +283,7 @@ class TestVerifyCommand:
             (deep, "not valid JSON"),
             ('{"0": [0], "1": []}', "vertex 1"),
             ('{"0": [0], "1": [-1]}', "vertex 1"),
+            ('{"0": [' + "1" * 5000 + '], "1": [2]}', "longer than 4300 digits"),
         ):
             labels.write_text(text)
             code, out, err = run(capsys, ["verify", "--graph", p2, "--labels", str(labels)])
@@ -421,6 +424,23 @@ class TestSearchCommand:
         payload = json.loads(out)
         assert payload["status"] == "found"
         assert set(payload["witness"]) == {"0", "1"}
+
+    def test_largest_universe_with_default_max_size(self, capsys, p2):
+        # --max-size defaults to the universe size, 10**6 here; only the
+        # label sizes the search reaches may cost anything
+        t0 = time.perf_counter()
+        code, out, _ = run(
+            capsys,
+            ["search", "--graph", p2, "--target", "strong", "--k", "4",
+             "--universe", "999999"],
+        )
+        assert time.perf_counter() - t0 < 1.0
+        assert code == 0
+        assert out == json.dumps(
+            {"status": "found", "nodes_visited": 2,
+             "witness": {"0": [0], "1": [0, 1, 2, 3]}},
+            indent=2,
+        ) + "\n"
 
     def test_usage_error_exit_2(self, capsys, p2):
         with pytest.raises(SystemExit) as exc:

@@ -1,6 +1,7 @@
 """Exhaustive search: witnesses, nonexistence within bounds, counting, and
 agreement between the pruned search and a naive unpruned enumeration."""
 
+import tracemalloc
 from itertools import product
 
 import pytest
@@ -20,6 +21,7 @@ from iasi import (
     path_graph,
     verify,
 )
+from iasi import search
 from iasi.setlabel import MAX_ELEMENTS
 from helpers import graphs_without_isolated, small_sets
 
@@ -146,10 +148,65 @@ class TestBruteForceSearch:
         r = verify(g, out.witness)
         assert r.is_iasi and r.is_strong and r.uniform_k == 9
 
+    def test_k33_full_tree_exhausted_none_node_count(self):
+        # every label has 3 elements; over {0..5} the whole tree holds no
+        # witness (over {0..6} it ends found, test_deep_found_node_count)
+        g = complete_bipartite_graph(3, 3)
+        out = brute_force_search(g, SearchSpec(5, 6, "strong", 9))
+        assert (out.status, out.nodes_visited) == ("exhausted-none", 144820)
+
     def test_deterministic(self):
         a = brute_force_search(path_graph(3), SearchSpec(5, 2, "any-strong"))
         b = brute_force_search(path_graph(3), SearchSpec(5, 2, "any-strong"))
         assert a == b
+
+
+class TestPairMemo:
+    """The memo of edge labels per (placed label, candidate) pair is flushed
+    when full; results and node counts must not depend on when."""
+
+    K8_WITNESS = {
+        0: [0, 1, 2, 3], 1: [0, 4, 8, 12], 2: [0, 5, 10, 15], 3: [0, 6, 13, 19],
+        4: [0, 9, 18, 27], 5: [0, 11, 22, 33], 6: [0, 14, 28, 42], 7: [0, 16, 32, 48],
+    }
+
+    def test_search_past_the_memo_cap(self):
+        # K_8 needs 8 four-element labels with pairwise disjoint difference
+        # sets; the search fills and flushes the memo twice before it finds
+        out = brute_force_search(complete_graph(8), SearchSpec(80, 4, "strong", 16))
+        assert (out.status, out.nodes_visited) == ("found", 161955)
+        assert out.witness == Labeling({v: SetLabel(e) for v, e in self.K8_WITNESS.items()})
+
+    def test_results_do_not_depend_on_the_cap(self, monkeypatch):
+        # a cap of a few entries flushes the memo all through each search
+        monkeypatch.setattr(search, "_MEMO_BYTES", 256)
+        g = complete_bipartite_graph(3, 3)
+        out = brute_force_search(g, SearchSpec(6, 7, "strong", 9))
+        assert (out.status, out.nodes_visited) == ("found", 182090)
+        assert verify(g, out.witness).uniform_k == 9
+        out = brute_force_search(g, SearchSpec(5, 6, "strong", 9))
+        assert (out.status, out.nodes_visited) == ("exhausted-none", 144820)
+        assert count_labelings(cycle_graph(4), SearchSpec(5, 2, "strong", 2)) == 11920
+        assert count_labelings(path_graph(4), SearchSpec(4, 2, "any-strong")) == 24050
+
+    def test_memory_stays_bounded(self, monkeypatch):
+        # the traced peak of a search cut by its budget is the same after
+        # the memo's first flush and long after it
+        monkeypatch.setattr(search, "_MEMO_BYTES", 1 << 16)
+
+        def peak(budget):
+            spec = SearchSpec(80, 4, "strong", 16, node_budget=budget)
+            tracemalloc.start()
+            try:
+                out = brute_force_search(complete_graph(8), spec)
+                return out.status, tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        (status1, early), (status2, late) = peak(5_000), peak(20_000)
+        assert status1 == status2 == "budget-exceeded"
+        assert late < 4 * search._MEMO_BYTES
+        assert late < 1.25 * early
 
 
 class TestSpecValidation:
@@ -204,14 +261,55 @@ class TestCountLabelings:
                     assert (cnt > 0) == (out.status == "found"), (edges, target)
 
 
+def canonical_first_witness(g, spec):
+    """The first assignment, in candidate order per vertex (by size, then
+    lexicographic), that the verifier accepts for spec's target; None if
+    there is none."""
+    cands = [SetLabel(e) for e in small_sets(spec.universe_max, spec.max_label_size)]
+    for labels in product(cands, repeat=g.vertex_count):
+        f = Labeling(dict(enumerate(labels)))
+        r = verify(g, f)
+        if r.is_iasi and (
+            (spec.target == "any-strong" and r.is_strong)
+            or (spec.target == "strong" and r.is_strong and r.uniform_k == spec.k)
+            or (spec.target == "weak" and r.is_weak and r.uniform_k == spec.k)
+        ):
+            return f
+    return None
+
+
+# (universe_max, max_label_size, target, k) of the pruned-vs-unpruned checks
+PRUNE_SPECS = [
+    pytest.param((4, 2, "any-strong", None), id="any-strong-None"),
+    pytest.param((4, 2, "strong", 2), id="strong-2"),
+    pytest.param((4, 2, "weak", 2), id="weak-2"),
+    pytest.param((4, 4, "strong", 4), id="strong-4"),
+    pytest.param((4, 3, "weak", 3), id="weak-3"),
+]
+
+
+def prune_graphs():
+    """Every graph on 2 or 3 vertices without isolated vertices, and one
+    disjoint union, whose second component has a root of its own."""
+    for n in (2, 3):
+        for edges in graphs_without_isolated(n):
+            yield Graph(n, edges)
+    yield disjoint_union(path_graph(2), path_graph(2))
+
+
 class TestPruneCorrectness:
-    @pytest.mark.parametrize("target,k", [("any-strong", None), ("strong", 2), ("weak", 2)])
-    def test_small_graphs_match_unpruned(self, target, k):
-        for n in (2, 3):
-            for edges in graphs_without_isolated(n):
-                g = Graph(n, edges)
-                spec = SearchSpec(4, 2, target, k)
-                assert count_labelings(g, spec) == unpruned_count(g, spec), edges
+    @pytest.mark.parametrize("spec_args", PRUNE_SPECS)
+    def test_small_graphs_match_unpruned(self, spec_args):
+        spec = SearchSpec(*spec_args)
+        for g in prune_graphs():
+            assert count_labelings(g, spec) == unpruned_count(g, spec), g.edges
+
+    @pytest.mark.parametrize("spec_args", PRUNE_SPECS)
+    def test_first_witness_is_canonical_on_prune_graphs(self, spec_args):
+        spec = SearchSpec(*spec_args)
+        for g in prune_graphs():
+            out = brute_force_search(g, spec)
+            assert out.witness == canonical_first_witness(g, spec), g.edges
 
     def test_first_witness_is_canonical(self):
         # the witness is the first assignment, in candidate order per vertex
