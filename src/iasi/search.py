@@ -4,11 +4,11 @@ The search assigns candidate labels to vertices in ascending id order,
 enumerating candidates by size and then lexicographically, and prunes a
 branch as soon as it can no longer complete: duplicate vertex labels, an
 edge that is not strong, and duplicate edge labels.  An edge label is held
-as the bitmask of its sums, so an edge uv is strong exactly when the mask
-has |f(u)|·|f(v)| bits, which holds exactly when the difference sets of
-f(u) and f(v) are disjoint.  The mask of each (placed label, candidate)
-pair is kept in a memo that is flushed when it reaches a fixed size, so
-the search's memory does not grow with the universe or the node budget.
+as the bitmask of its sums less their minimum, so an edge uv is strong
+exactly when the mask has |f(u)|·|f(v)| bits, which holds exactly when the
+difference sets of f(u) and f(v) are disjoint.  The mask is as wide as the
+sum of the two labels' spans, so singletons cost the same at any element
+size; labels of 2+ elements with a wide span cost more per edge.
 
 Label sizes come from a table built once per search.  Under a uniform
 target the sizes of adjacent vertices multiply to k (weak: they pair 1 with
@@ -35,11 +35,9 @@ from .verify import Labeling, divisors_of
 
 TARGETS = ("any-strong", "strong", "weak")
 
-# The search's pair memo is flushed when it holds about this many bytes, each
-# entry counted as _ENTRY_BYTES plus its mask, so its memory stays bounded
-# whatever the universe and the node budget.
-_MEMO_BYTES = 1 << 22
-_ENTRY_BYTES = 64
+# An edge label's key packs its minimum sum into this many low bits, below
+# the mask: two labels' elements sum to less than 2 * MAX_ELEMENTS.
+_SUM_BITS = (2 * MAX_ELEMENTS).bit_length()
 
 
 class BudgetExceededError(RuntimeError):
@@ -131,36 +129,15 @@ class _Searcher:
         spec = self.spec
         nv = self.g.vertex_count
         k = spec.k
-        # A candidate's id is size * budget plus its rank among the labels of
-        # its size, as combinations() yields them: no rank reaches the node
-        # budget.  The size table already makes a strong edge's label reach
-        # k (strong sizes multiply to k; weak sizes pair a singleton, always
-        # strong, with a k-set), so what is left to check is strength,
-        # |A + B| = |A|·|B|, and distinct labels.
         budget = spec.node_budget
+        # The size table already makes a strong edge's label reach k (strong
+        # sizes multiply to k; weak sizes pair a singleton, always strong,
+        # with a k-set), so what is left to check is strength,
+        # |A + B| = |A|·|B|, and distinct labels.  An edge label's key is the
+        # bitmask of its sums less their minimum, with the minimum below it.
         labels: list[tuple[int, ...]] = [()] * nv
-        used_ids: set[int] = set()
-        edge_masks: set[int] = set()
-        # The pair memo: placed id -> row, candidate id -> edge label mask,
-        # or 0 if the edge is not strong.  rows[v] is the row of v's label.
-        # A mask depends only on the two labels, so flushing is always safe.
-        memo: dict[int, dict[int, int]] = {}
-        rows: list[dict[int, int]] = [{} for _ in range(nv)]
-        memo_bytes = 0
-
-        def store(table: dict, key: int, value, cost: int):
-            """table[key] = value, flushing the memo first when it is full."""
-            nonlocal memo_bytes
-            if memo_bytes >= _MEMO_BYTES:
-                # a placed vertex may still hold a row an earlier flush
-                # dropped from the memo, so its row is cleared too
-                for row in (*memo.values(), *rows):
-                    row.clear()
-                memo.clear()
-                memo_bytes = 0
-            table[key] = value
-            memo_bytes += cost
-            return value
+        used_labels: set[tuple[int, ...]] = set()
+        edge_keys: set[int] = set()
 
         def place(v: int):
             """Yield True once per candidate label of v that passes every
@@ -174,52 +151,36 @@ class _Searcher:
                 sizes = (k // d if self.color[v] else d,)
             back = self.back[v]
             for s in sizes:
-                # cid is the last candidate tried, and while v tries labels
-                # of size s the node count is cid - offset; self.nodes is
-                # written back before each yield and read after it
-                first = s * budget
-                cid = first - 1
-                offset = cid - self.nodes
-                last = offset + budget  # the last cid within the node budget
-                for cid, cand in enumerate(combinations(universe, s), first):
-                    if cid > last:
-                        self.nodes = cid - offset
+                for cand in combinations(universe, s):
+                    self.nodes += 1
+                    if self.nodes > budget:
                         raise BudgetExceededError(f"node budget {budget} exceeded")
-                    if cid in used_ids:
+                    if cand in used_labels:
                         continue
+                    lo = cand[0]
                     cmask = 0
-                    new_masks = []
+                    for b in cand:
+                        cmask |= 1 << (b - lo)
+                    new_keys = []
                     for u in back:
-                        row = rows[u]
-                        mask = row.get(cid)
-                        if mask is None:
-                            if not cmask:
-                                for b in cand:
-                                    cmask |= 1 << b
-                            mask = 0
-                            for a in labels[u]:
-                                mask |= cmask << a
-                            if mask.bit_count() != len(labels[u]) * s:
-                                mask = 0
-                            store(row, cid, mask, _ENTRY_BYTES + mask.bit_length() // 8)
-                        if not mask or mask in edge_masks or mask in new_masks:
+                        ulabel = labels[u]
+                        a0 = ulabel[0]
+                        mask = 0
+                        for a in ulabel:
+                            mask |= cmask << (a - a0)
+                        if mask.bit_count() != len(ulabel) * s:
                             break
-                        new_masks.append(mask)
+                        key = (mask << _SUM_BITS) | (a0 + lo)
+                        if key in edge_keys or key in new_keys:
+                            break
+                        new_keys.append(key)
                     else:
                         labels[v] = cand
-                        row = memo.get(cid)
-                        if row is None:
-                            row = store(memo, cid, {}, _ENTRY_BYTES)
-                        rows[v] = row
-                        used_ids.add(cid)
-                        edge_masks.update(new_masks)
-                        self.nodes = cid - offset
+                        used_labels.add(cand)
+                        edge_keys.update(new_keys)
                         yield True
-                        offset = cid - self.nodes
-                        last = offset + budget
-                        edge_masks.difference_update(new_masks)
-                        used_ids.remove(cid)
-                self.nodes = cid - offset
+                        edge_keys.difference_update(new_keys)
+                        used_labels.remove(cand)
 
         if not all(self.root_sizes[r] for r in set(self.root)):
             return  # some component has no feasible size

@@ -10,12 +10,13 @@ from __future__ import annotations
 
 import json
 import math
-import sys
 from collections import Counter
 from dataclasses import dataclass
 from typing import Mapping
 
-from .graphs import Graph, Edge, _clip, _id_summary, _parse_id, connected_components, is_clique
+from .graphs import (
+    MAX_ID_DIGITS, Graph, Edge, _clip, _id_summary, _parse_id, connected_components, is_clique,
+)
 from .setlabel import SetLabel, difference_set, sumset
 
 
@@ -68,8 +69,7 @@ class Labeling:
         except (json.JSONDecodeError, RecursionError) as exc:
             raise LabelingError(f"labeling is not valid JSON: {exc}") from None
         except ValueError:  # int() refuses the digits of a huge element
-            limit = sys.get_int_max_str_digits()
-            raise LabelingError(f"labeling holds an integer longer than {limit} digits") from None
+            raise LabelingError(f"labeling holds an integer longer than {MAX_ID_DIGITS} digits") from None
         if not isinstance(raw, tuple):
             raise LabelingError("labeling JSON must be an object")
         assignment = {}

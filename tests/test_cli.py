@@ -1,11 +1,11 @@
 """End-to-end CLI checks: flag grammar, JSON output, exit codes, round trips."""
 
 import json
-import time
 import types
 
 import pytest
 
+from iasi import search
 from iasi.cli import main
 
 
@@ -425,16 +425,23 @@ class TestSearchCommand:
         assert payload["status"] == "found"
         assert set(payload["witness"]) == {"0", "1"}
 
-    def test_largest_universe_with_default_max_size(self, capsys, p2):
-        # --max-size defaults to the universe size, 10**6 here; only the
-        # label sizes the search reaches may cost anything
-        t0 = time.perf_counter()
+    def test_largest_universe_with_default_max_size(self, capsys, p2, monkeypatch):
+        # --max-size defaults to the universe size, 10**6 here; the search
+        # enumerates only the label sizes it reaches, 1 at the root and 4
+        # next to it, and builds nothing for the sizes up to 10**6
+        sizes = []
+
+        def combinations(pool, r, real=search.combinations):
+            sizes.append(r)
+            return real(pool, r)
+
+        monkeypatch.setattr(search, "combinations", combinations)
         code, out, _ = run(
             capsys,
             ["search", "--graph", p2, "--target", "strong", "--k", "4",
              "--universe", "999999"],
         )
-        assert time.perf_counter() - t0 < 1.0
+        assert sizes == [1, 4]
         assert code == 0
         assert out == json.dumps(
             {"status": "found", "nodes_visited": 2,

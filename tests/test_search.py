@@ -21,7 +21,6 @@ from iasi import (
     path_graph,
     verify,
 )
-from iasi import search
 from iasi.setlabel import MAX_ELEMENTS
 from helpers import graphs_without_isolated, small_sets
 
@@ -161,39 +160,38 @@ class TestBruteForceSearch:
         assert a == b
 
 
-class TestPairMemo:
-    """The memo of edge labels per (placed label, candidate) pair is flushed
-    when full; results and node counts must not depend on when."""
+class TestWideSearches:
+    """Pinned results of deeper trees and of a large universe, where an edge
+    label's bitmask would be wide if it were not taken from the minimum."""
 
     K8_WITNESS = {
         0: [0, 1, 2, 3], 1: [0, 4, 8, 12], 2: [0, 5, 10, 15], 3: [0, 6, 13, 19],
         4: [0, 9, 18, 27], 5: [0, 11, 22, 33], 6: [0, 14, 28, 42], 7: [0, 16, 32, 48],
     }
+    K40_SINGLETONS = [
+        0, 1, 2, 4, 7, 12, 20, 29, 38, 52, 73, 94, 127, 151, 181, 211, 257,
+        315, 373, 412, 475, 530, 545, 607, 716, 797, 861, 964, 1059, 1160,
+        1306, 1385, 1434, 1555, 1721, 1833, 1933, 2057, 2260, 2496,
+    ]
 
-    def test_search_past_the_memo_cap(self):
-        # K_8 needs 8 four-element labels with pairwise disjoint difference
-        # sets; the search fills and flushes the memo twice before it finds
+    def test_k8_four_element_labels(self):
+        # K_8 needs 8 four-element labels with pairwise disjoint difference sets
         out = brute_force_search(complete_graph(8), SearchSpec(80, 4, "strong", 16))
         assert (out.status, out.nodes_visited) == ("found", 161955)
         assert out.witness == Labeling({v: SetLabel(e) for v, e in self.K8_WITNESS.items()})
 
-    def test_results_do_not_depend_on_the_cap(self, monkeypatch):
-        # a cap of a few entries flushes the memo all through each search
-        monkeypatch.setattr(search, "_MEMO_BYTES", 256)
-        g = complete_bipartite_graph(3, 3)
-        out = brute_force_search(g, SearchSpec(6, 7, "strong", 9))
-        assert (out.status, out.nodes_visited) == ("found", 182090)
-        assert verify(g, out.witness).uniform_k == 9
-        out = brute_force_search(g, SearchSpec(5, 6, "strong", 9))
-        assert (out.status, out.nodes_visited) == ("exhausted-none", 144820)
-        assert count_labelings(cycle_graph(4), SearchSpec(5, 2, "strong", 2)) == 11920
-        assert count_labelings(path_graph(4), SearchSpec(4, 2, "any-strong")) == 24050
+    def test_singletons_over_a_wide_universe(self):
+        # K_40 with singletons over {0..99999}: pairwise sums must differ;
+        # the candidates reach 2496, and an edge's mask stays one bit wide
+        out = brute_force_search(complete_graph(40), SearchSpec(99_999, 1, "any-strong"))
+        assert (out.status, out.nodes_visited) == ("found", 28093)
+        assert out.witness == Labeling(
+            {v: SetLabel([e]) for v, e in enumerate(self.K40_SINGLETONS)}
+        )
 
-    def test_memory_stays_bounded(self, monkeypatch):
-        # the traced peak of a search cut by its budget is the same after
-        # the memo's first flush and long after it
-        monkeypatch.setattr(search, "_MEMO_BYTES", 1 << 16)
-
+    def test_memory_does_not_grow_with_the_nodes(self):
+        # the search keeps no state per node searched: the traced peak of a
+        # search cut by its budget stays small at 5,000 and 150,000 nodes
         def peak(budget):
             spec = SearchSpec(80, 4, "strong", 16, node_budget=budget)
             tracemalloc.start()
@@ -203,10 +201,9 @@ class TestPairMemo:
             finally:
                 tracemalloc.stop()
 
-        (status1, early), (status2, late) = peak(5_000), peak(20_000)
+        (status1, early), (status2, late) = peak(5_000), peak(150_000)
         assert status1 == status2 == "budget-exceeded"
-        assert late < 4 * search._MEMO_BYTES
-        assert late < 1.25 * early
+        assert max(early, late) < 32 * 1024
 
 
 class TestSpecValidation:
