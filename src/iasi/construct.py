@@ -83,7 +83,10 @@ def construct_bipartite_strong(
     """
     if not is_valid_bipartition(g, bp):
         raise ConstructionError("bipartition is not valid for the graph")
-    pair = params.factors or default_factor_pair(params.k)
+    # the default n = k/m is at least sqrt(k), and side_y is nonempty, so
+    # past MAX_ELEMENTS**2 the bound below fails: (1, k) fails it unfactored
+    k = params.k
+    pair = params.factors or (default_factor_pair(k) if k <= MAX_ELEMENTS**2 else FactorPair(1, k))
     m, n = pair.m, pair.n
     if m * len(bp.side_x) + n * len(bp.side_y) > MAX_ELEMENTS:
         raise ConstructionError(f"the labels would hold more than {MAX_ELEMENTS} elements")
@@ -187,7 +190,7 @@ def topological_reduce(g: Graph, f: Labeling, v: int) -> tuple[Graph, Labeling]:
     # be strong and carry distinct labels, the new one must be strong, and
     # the only old edge with its label may be one at v, which disappears
     new = len(g.edges)
-    _, not_strong, firsts = _edge_pass(g, f, new_edge=(u, w))
+    _, _, not_strong, firsts = _edge_pass(g, f, (*g.edges, (u, w)))
     if not_strong and not_strong[0] != new:
         raise ReductionError("labeling is not strong")
     if len(set(f.assignment.values())) < len(f) or any(i != new for i in firsts):

@@ -116,7 +116,9 @@ class _Searcher:
         else:
             k = spec.k
             self.color, self.root, odd_roots = _two_coloring(g)
-            base = divisors_of(k) if spec.target == "strong" else sorted({1, k})
+            # past cap**2 no size d <= cap has k // d <= cap: k is not factored
+            strong = spec.target == "strong" and k <= cap * cap
+            base = divisors_of(k) if strong else sorted({1, k})
             sizes = [d for d in base if d <= cap and k // d <= cap]
             square = [d for d in sizes if d * d == k]
             self.root_sizes = [

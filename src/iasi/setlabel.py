@@ -11,6 +11,7 @@ builds a sumset only where the size or the label itself is in question.
 
 from __future__ import annotations
 
+from itertools import combinations
 from typing import Iterable, Iterator
 
 # Most elements the labels of one construction, or one search universe, may
@@ -93,8 +94,7 @@ def difference_set(a: SetLabel) -> frozenset[int]:
     kept: disjointness of two difference sets is unchanged by the sign
     convention, and the positive half is canonical.
     """
-    es = a.elements
-    return frozenset(es[j] - es[i] for i in range(len(es)) for j in range(i + 1, len(es)))
+    return frozenset(y - x for x, y in combinations(a.elements, 2))
 
 
 def is_sumset_maximal(a: SetLabel, b: SetLabel) -> bool:

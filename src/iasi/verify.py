@@ -12,7 +12,7 @@ import json
 import math
 from collections import Counter
 from dataclasses import dataclass
-from typing import Mapping
+from typing import Mapping, NamedTuple
 
 from .graphs import (
     MAX_ID_DIGITS, Graph, Edge, _clip, _id_summary, _parse_id, connected_components, is_clique,
@@ -94,8 +94,7 @@ class Labeling:
         return cls(assignment)
 
 
-@dataclass(frozen=True)
-class Violation:
+class Violation(NamedTuple):
     """One structured finding explaining a False classification flag."""
 
     kind: str
@@ -133,23 +132,24 @@ def _require_total(g: Graph, f: Labeling) -> None:
 
 
 def _edge_pass(
-    g: Graph, f: Labeling, index: bool = True, new_edge: Edge | None = None
-) -> tuple[list[int], list[int], dict[int, tuple[Edge, SetLabel]]]:
-    """Induced label sizes of g's edges, then of new_edge if one is given,
-    by the method verify describes.
+    g: Graph, f: Labeling, edges: tuple[Edge, ...]
+) -> tuple[list[int], list[int], list[int], dict[int, tuple[Edge, SetLabel]]]:
+    """Induced label sizes of the given edges between g's vertices, in one
+    loop over them, by the method verify describes.
 
-    Returns (sizes, not_strong, firsts): each edge's label size, the
-    positions of the edges that are not strong, and, with index=True, each
-    position whose label an earlier edge already carries -> (the first such
-    edge, the label).  A label of up to 5 elements meets the size guard
-    whenever it has a neighbor of 2 or more elements, and its difference
-    set costs at most 10 differences, so the guard's sum is taken only for
-    larger labels.
+    Returns (size, sizes, not_strong, firsts): each vertex's label size,
+    each edge's label size, the positions of the edges that are not strong,
+    and each position whose label an earlier edge already carries -> (the
+    first such edge, the label).  A label of up to 5 elements meets the
+    size guard whenever it has a neighbor of 2 or more elements, and its
+    difference set costs at most 10 differences, so the guard's sum is
+    taken only for larger labels.
     """
     _require_total(g, f)
-    edges = g.edges if new_edge is None else (*g.edges, new_edge)
     labels = list(f.assignment.values())  # f's keys are exactly 0..n-1
     size = [len(a.elements) for a in labels]
+    lo = [a.elements[0] for a in labels]
+    hi = [a.elements[-1] for a in labels]
     diffs = [
         frozenset() if s == 1
         else difference_set(a)
@@ -158,58 +158,56 @@ def _edge_pass(
         for v, (a, s) in enumerate(zip(labels, size))
     ]
     sizes: list[int] = []
+    keys: list[tuple[int, int, int]] = []
     not_strong: list[int] = []
     sums: dict[int, SetLabel] = {}
     for i, (u, v) in enumerate(edges):
+        n = size[u] * size[v]
         du, dv = diffs[u], diffs[v]
         if du is None or dv is None:
             strong = size[u] == 1 or size[v] == 1
         else:
             strong = du.isdisjoint(dv)
-        if strong:
-            sizes.append(size[u] * size[v])
-            continue
-        sums[i] = lab = sumset(labels[u], labels[v])
-        sizes.append(len(lab.elements))
-        if sizes[i] != size[u] * size[v]:
-            not_strong.append(i)
+        if not strong:
+            sums[i] = lab = sumset(labels[u], labels[v])
+            if len(lab.elements) != n:
+                n = len(lab.elements)
+                not_strong.append(i)
+        sizes.append(n)
+        keys.append((lo[u] + lo[v], hi[u] + hi[v], n))
     firsts: dict[int, tuple[Edge, SetLabel]] = {}
-    if index:
-        lo = [a.elements[0] for a in labels]
-        hi = [a.elements[-1] for a in labels]
-        keys = [(lo[u] + lo[v], hi[u] + hi[v], n) for (u, v), n in zip(edges, sizes)]
-        count = Counter(keys)
-        if len(count) < len(keys):
-            # the first position with each label, per shared key
-            buckets: dict[tuple, dict[SetLabel, int]] = {}
-            for i, key in enumerate(keys):
-                if count[key] > 1:
-                    lab = sums[i] if i in sums else sumset(*(labels[x] for x in edges[i]))
-                    first = buckets.setdefault(key, {}).setdefault(lab, i)
-                    if first != i:
-                        firsts[i] = (edges[first], lab)
-    return sizes, not_strong, firsts
+    count = Counter(keys)
+    if len(count) < len(keys):
+        # the first position with each label, per shared key
+        buckets: dict[tuple, dict[SetLabel, int]] = {}
+        for i, key in enumerate(keys):
+            if count[key] > 1:
+                lab = sums[i] if i in sums else sumset(*(labels[x] for x in edges[i]))
+                first = buckets.setdefault(key, {}).setdefault(lab, i)
+                if first != i:
+                    firsts[i] = (edges[first], lab)
+    return size, sizes, not_strong, firsts
 
 
 def verify(g: Graph, f: Labeling) -> VerificationReport:
     """Full classification of the labeled graph.
 
     Edge labels are induced sumsets, and injectivity of the edge map is set
-    equality of those sumsets.  An edge with a singleton endpoint, or whose
-    endpoint labels have disjoint difference sets, is strong with size
-    |A|*|B|, so it needs no sumset.  Edges whose keys (min, max, size)
-    differ have different labels; only edges with equal keys, and edges
-    that are not strong, get their sumsets built and compared exactly.  A
-    difference set D_v is built only when |f(v)| - 1 <= 2 * (sum of |f(u)|
-    over the neighbors u with |f(u)| >= 2), so its quadratic cost never
-    exceeds the sumsets it saves; without it, an edge at v whose other end
-    is not a singleton takes the exact sumset.  No input costs more than one
-    sumset per edge.  Edges are processed in sorted order so the violation
-    list is deterministic.
+    equality of those sumsets.  One loop over the edges takes each edge's
+    size and key (min, max, size).  An edge with a singleton endpoint, or
+    whose endpoint labels have disjoint difference sets, is strong with
+    size |A|*|B| and needs no sumset.  Edges whose keys differ have
+    different labels; only edges with equal keys, and edges that are not
+    strong, get their sumsets built and compared exactly.  A difference set
+    D_v is built only when |f(v)| - 1 <= 2 * (sum of |f(u)| over the
+    neighbors u with |f(u)| >= 2), so its quadratic cost never exceeds the
+    sumsets it saves; without it, an edge at v whose other end is not a
+    singleton takes the exact sumset.  No input costs more than one sumset
+    per edge.  Edges are processed in sorted order so the violation list is
+    deterministic.
     """
-    sizes, _, firsts = _edge_pass(g, f)
+    size, sizes, not_strong, firsts = _edge_pass(g, f, g.edges)
     labels = f.assignment
-    size = [len(labels[v].elements) for v in g.vertices()]
     violations: list[Violation] = []
     is_iasi = not firsts
 
@@ -229,7 +227,6 @@ def verify(g: Graph, f: Labeling) -> VerificationReport:
 
     edge_sizes = dict(zip(g.edges, sizes))
     weak_ok = True
-    strong_ok = True
     for i, ((u, v), n) in enumerate(edge_sizes.items()):
         su, sv = size[u], size[v]
         if i in firsts:
@@ -251,7 +248,6 @@ def verify(g: Graph, f: Labeling) -> VerificationReport:
                 )
             )
         if n != su * sv:
-            strong_ok = False
             violations.append(
                 Violation(
                     "strong-equality",
@@ -267,7 +263,7 @@ def verify(g: Graph, f: Labeling) -> VerificationReport:
     return VerificationReport(
         is_iasi=is_iasi,
         is_weak=weak_ok,
-        is_strong=strong_ok,
+        is_strong=not not_strong,
         uniform_k=uniform_k,
         vertex_uniform_l=vertex_uniform_l,
         completely_uniform=uniform_k is not None and vertex_uniform_l is not None,
@@ -291,9 +287,10 @@ def check_strong_criterion(g: Graph, f: Labeling) -> bool:
 
     Equivalent to every edge label reaching the maximal size
     |f(u)|*|f(v)|, which is how an edge is decided where a difference set
-    would cost more than the sumset (see _edge_pass).
+    would cost more than the sumset.  It runs verify's edge pass, key index
+    included, and reads only which edges are not strong.
     """
-    return not _edge_pass(g, f, index=False)[1]
+    return not _edge_pass(g, f, g.edges)[2]
 
 
 def divisors_of(k: int) -> list[int]:
@@ -321,12 +318,7 @@ class ComponentReport:
     clique: bool
 
     def as_dict(self) -> dict:
-        return {
-            "vertices": list(self.vertices),
-            "kind": self.kind,
-            "sizes": list(self.sizes),
-            "clique": self.clique,
-        }
+        return {**vars(self), "vertices": list(self.vertices), "sizes": list(self.sizes)}
 
 
 @dataclass(frozen=True)
@@ -363,13 +355,12 @@ def analyze_divisor_partition(g: Graph, f: Labeling, k: int) -> PartitionReport:
     for non-square k at most n/2 bipartite components; for square k at most
     (n+1)/2 components of which at most (n-1)/2 are bipartite pairs.
     """
-    sizes, not_strong, _ = _edge_pass(g, f, index=False)
+    size, sizes, not_strong, _ = _edge_pass(g, f, g.edges)
     if not_strong:
         raise ValueError(
             f"labeling is not strongly {k}-uniform "
             "(adjacent labels share a difference)"
         )
-    size = [len(f.assignment[v].elements) for v in g.vertices()]
     for (u, v), n in zip(g.edges, sizes):
         if n != k:
             raise ValueError(

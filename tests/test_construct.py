@@ -110,6 +110,17 @@ class TestBipartiteStrong:
         with pytest.raises(ConstructionError, match="k must be positive"):
             default_factor_pair(0)
 
+    def test_huge_k_fails_the_element_bound_unfactored(self, monkeypatch):
+        # the default pair's n >= sqrt(k) > MAX_ELEMENTS, so the bound fails
+        # before divisors_of, whose trial division would not return
+        def refuse(k):
+            raise AssertionError(f"divisors_of({k}) called")
+
+        monkeypatch.setattr("iasi.construct.divisors_of", refuse)
+        g = path_graph(2)
+        with pytest.raises(ConstructionError, match="more than 1000000 elements"):
+            construct_bipartite_strong(g, bipartition_of(g), ConstructionParams(10**30))
+
     def test_rejects_mismatched_factors(self):
         with pytest.raises(ConstructionError):
             ConstructionParams(6, FactorPair(2, 2))

@@ -237,6 +237,17 @@ class TestCountLabelings:
         # k exceeds (universe size)^2, so no edge can reach it
         assert count_labelings(path_graph(2), SearchSpec(3, 4, "strong", 17)) == 0
 
+    def test_huge_k_is_not_factored(self, monkeypatch):
+        # k > max_label_size**2 leaves no size pair, so divisors_of, whose
+        # trial division to sqrt(10**30) would not return, is never called
+        def refuse(k):
+            raise AssertionError(f"divisors_of({k}) called")
+
+        monkeypatch.setattr("iasi.search.divisors_of", refuse)
+        out = brute_force_search(path_graph(2), SearchSpec(5, 2, "strong", 10**30))
+        assert (out.status, out.nodes_visited) == ("exhausted-none", 0)
+        assert count_labelings(path_graph(2), SearchSpec(5, 2, "strong", 10**30)) == 0
+
     def test_k3_any_strong_singletons(self):
         assert count_labelings(complete_graph(3), SearchSpec(2, 1, "any-strong")) == 6
 

@@ -67,6 +67,15 @@ class TestVerify:
         assert not r.is_iasi
         assert any(v.kind == "duplicate-edge-labels" for v in r.violations)
 
+    def test_reports_compare_by_value(self):
+        # the input of the CLI's VERIFY_P4_ALL_KINDS pin: every violation kind
+        f = labeling({0: [0], 1: [0, 1], 2: [0, 1], 3: [0]})
+        r = verify(path_graph(4), f)
+        assert {v.kind for v in r.violations} == {
+            "duplicate-vertex-labels", "duplicate-edge-labels", "weak-equality", "strong-equality",
+        }
+        assert r == verify(path_graph(4), labeling({0: [0], 1: [0, 1], 2: [0, 1], 3: [0]}))
+
     def test_missing_vertex(self):
         with pytest.raises(LabelingError, match="missing"):
             verify(path_graph(3), labeling({0: [0], 1: [1]}))
