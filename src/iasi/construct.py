@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .graphs import Graph, Bipartition, is_valid_bipartition
+from .graphs import Graph, Bipartition, _id_summary, is_valid_bipartition
 from .setlabel import MAX_ELEMENTS, SetLabel, difference_set
 from .verify import Labeling, _edge_pass, divisors_of
 
@@ -196,9 +196,18 @@ def topological_reduce(g: Graph, f: Labeling, v: int) -> tuple[Graph, Labeling]:
     if len(set(f.assignment.values())) < len(f) or any(i != new for i in firsts):
         raise ReductionError("labeling is not a set-indexer")
     if not_strong:
-        shared = sorted(difference_set(f[u]) & difference_set(f[w]))
+        # the larger label's difference set costs |large|^2; past |small|^2
+        # elements it is cheaper to test each difference d of the smaller
+        # label against the larger one's members, at |small|^2 * |large|
+        small, large = sorted((f[u], f[w]), key=len)
+        if len(large) <= len(small) ** 2:
+            shared = difference_set(small) & difference_set(large)
+        else:
+            members = set(large.elements)
+            shared = [d for d in difference_set(small) if any(x + d in members for x in large.elements)]
+        shared = sorted(shared)
         raise ReductionError(
-            f"difference sets of {u} and {w} share {shared}",
+            f"difference sets of {u} and {w} share {_id_summary(shared, len(shared))}",
             shared_differences=tuple(shared),
         )
     if new in firsts and v not in firsts[new][0]:

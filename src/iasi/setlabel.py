@@ -100,7 +100,8 @@ def difference_set(a: SetLabel) -> frozenset[int]:
 def is_sumset_maximal(a: SetLabel, b: SetLabel) -> bool:
     """True iff |sumset(a, b)| = |a|*|b|.
 
-    Equivalent to the difference sets of a and b being disjoint, which is
-    how it is decided (no sumset is materialized).
+    Equivalent to the difference sets of a and b being disjoint, but decided
+    by counting the |a|*|b| sums: that costs O(|a||b|), where the two
+    difference sets would cost O(|a|^2 + |b|^2).
     """
-    return difference_set(a).isdisjoint(difference_set(b))
+    return len({x + y for x in a.elements for y in b.elements}) == len(a) * len(b)

@@ -1,7 +1,10 @@
 """End-to-end CLI checks: flag grammar, JSON output, exit codes, round trips."""
 
 import json
+import re
 import types
+from collections import Counter
+from random import Random
 
 import pytest
 
@@ -531,6 +534,8 @@ class TestAnalyzeCommand:
         ["verify", "--graph", "{dir}/long-id.txt", "--labels", "{dir}/long-key.json"],
         ["verify", "--graph", "{p2}", "--labels", "{dir}/long-key.json"],
         ["verify", "--graph", "{p2}", "--labels", "{dir}/long-unknown.json"],
+        # 999 shared differences are summarized, not listed
+        ["reduce", "--graph", "{p3}", "--labels", "{dir}/many-shared.json", "--vertex", "1"],
     ],
     ids=[
         "complete-one-vertex", "any-strong-with-k", "out-is-a-directory",
@@ -540,13 +545,17 @@ class TestAnalyzeCommand:
         "complete-l-above-bound", "weak-with-factors", "complete-with-graph-and-k",
         "complete-with-factors", "strong-with-vertices", "weak-with-l", "factors-empty",
         "edge-id-above-digit-limit", "long-labeling-key", "long-unknown-vertex",
+        "reduce-many-shared-differences",
     ],
 )
-def test_rejected_input_is_a_one_line_error(capsys, tmp_path, p2, argv):
+def test_rejected_input_is_a_one_line_error(capsys, tmp_path, p2, p3, argv):
     (tmp_path / "long-id.txt").write_text("0 " + "1" * 5000 + "\n")
     (tmp_path / "long-key.json").write_text(json.dumps({"a" * 3000: [0]}))
     (tmp_path / "long-unknown.json").write_text(json.dumps({"0": [0], "1": [1], "7" * 4000: [2]}))
-    code, out, err = run(capsys, [a.format(p2=p2, dir=tmp_path) for a in argv])
+    (tmp_path / "many-shared.json").write_text(
+        json.dumps({0: list(range(1000)), 1: [10_000], 2: list(range(5000, 6000))})
+    )
+    code, out, err = run(capsys, [a.format(p2=p2, p3=p3, dir=tmp_path) for a in argv])
     assert_one_line_error(code, out, err)
     assert len(err.encode()) < 200, err
 
@@ -564,6 +573,58 @@ def test_non_canonical_integer_is_usage_error(capsys, p2, value):
     assert err.startswith("usage: ") and err.count("error: ") == 1
 
 
+CORPUS_EDGES = "0 1\n1 2\n2 3\n"
+CORPUS_LABELS = '{"0": [0, 1], "1": [10, 12], "2": [30, 34], "3": [100, 108]}'
+# spliced in anywhere: broken JSON, stray words, and numbers of the wrong kind
+CORPUS_STRAY = ["x", "#", "{", "}", "[", "]", ",", ":", '"', " ", "\n", "\t", "-", "null", "true"]
+# in place of one number: non-canonical ids, floats, booleans, bad values
+CORPUS_NUMBERS = ["01", "+1", "1_0", "\u0663", "-1", "1.0", "1e3", "NaN", "true", "false",
+                  "null", '"1"', "[1]", "99", "3", "0", "1" * 50]
+
+
+def mutate(rng, text, labels):
+    """text with one random defect: cut short, a token spliced in, one
+    number replaced, or (labels only) one more vertex key."""
+    kind = rng.randrange(4 if labels else 3)
+    i = rng.randrange(len(text) + 1)
+    if kind == 0:
+        return text[:i]
+    if kind == 1:
+        return text[:i] + rng.choice(CORPUS_STRAY) + text[i:]
+    if kind == 2:
+        numbers = list(re.finditer(r"\d+", text))
+        m = rng.choice(numbers)
+        return text[:m.start()] + rng.choice(CORPUS_NUMBERS) + text[m.end():]
+    key = rng.choice(['"4"', '"x"', '"1"', '"-1"', '"00"', '""'])
+    return text[:-1] + f", {key}: [7]}}"
+
+
+def test_malformed_input_corpus(capsys, tmp_path):
+    # each mutated input is answered (exit 0) or rejected with one short
+    # error line (exit 1) by every command that reads it; never a traceback
+    rng = Random(11)
+    graph, labels = tmp_path / "g.txt", tmp_path / "l.json"
+    codes = Counter()
+    for _ in range(200):
+        which = rng.randrange(3)
+        edges = mutate(rng, CORPUS_EDGES, False) if which != 1 else CORPUS_EDGES
+        labeling = mutate(rng, CORPUS_LABELS, True) if which != 0 else CORPUS_LABELS
+        graph.write_text(edges)
+        labels.write_text(labeling)
+        files = ["--graph", str(graph), "--labels", str(labels)]
+        for argv in (["verify", *files], ["reduce", *files, "--vertex", "1"],
+                     ["analyze", *files, "--k", "4"]):
+            code, out, err = run(capsys, argv)
+            codes[code] += 1
+            case = (argv[0], edges, labeling, err)
+            if code:
+                assert_one_line_error(code, out, err)
+                assert len(err.encode()) < 200, case
+            else:
+                assert err == "" and json.loads(out), case
+    assert codes[0] and codes[1] and set(codes) == {0, 1}
+
+
 def test_package_names_survive_submodule_imports():
     # importing a submodule binds it as an attribute of the package; every
     # re-exported name, `verify` among them, must still give the object
@@ -574,6 +635,8 @@ def test_package_names_survive_submodule_imports():
     assert callable(verify) and not isinstance(verify, types.ModuleType)
     for name in iasi.__all__:
         assert not isinstance(getattr(iasi, name), types.ModuleType), name
+        # __all__ is read off the package's imports: no stdlib object in it
+        assert getattr(iasi, name).__module__.startswith("iasi."), name
 
 
 def test_version(capsys):

@@ -1,6 +1,7 @@
 """Constructors: bipartite strong, complete-graph strong, weak uniform,
 and degree-2 reductions.  Every output is certified by the verifier."""
 
+import importlib
 from collections import Counter
 from random import Random
 
@@ -33,6 +34,8 @@ from iasi import (
     verify,
 )
 from helpers import random_bipartite_graph
+
+construct_module = importlib.import_module("iasi.construct")
 
 
 def bipartite_suite():
@@ -312,6 +315,41 @@ class TestTopologicalReduce:
         with pytest.raises(ReductionError) as exc:
             topological_reduce(g, f, 1)
         assert exc.value.shared_differences == (1,)
+
+    def test_shared_differences_from_the_smaller_label(self, monkeypatch):
+        # a quadratic difference set of the 100,000-element label would run
+        # for minutes; fail at once instead
+        real = construct_module.difference_set
+
+        def guarded(a):
+            assert len(a) <= 1000
+            return real(a)
+
+        monkeypatch.setattr(construct_module, "difference_set", guarded)
+        g = path_graph(3)
+        f = Labeling({0: SetLabel(range(0, 200_000, 2)), 1: SetLabel([1]), 2: SetLabel([3, 5])})
+        with pytest.raises(ReductionError, match=r"share \[2\]$") as exc:
+            topological_reduce(g, f, 1)
+        assert exc.value.shared_differences == (2,)
+
+    def test_shared_differences_match_the_intersection(self):
+        # both sizes of the larger label: up to and past the smaller one's
+        # size squared; the singleton middle vertex keeps P_3 strong
+        rng = Random(0x5D)
+        checked = 0
+        for _ in range(300):
+            a = SetLabel(rng.sample(range(40), rng.randint(2, 3)))
+            b = SetLabel(rng.sample(range(40), rng.randint(2, 12)))
+            shared = tuple(sorted(difference_set(a) & difference_set(b)))
+            if not shared or a == b:
+                continue
+            for f0, f2 in ((a, b), (b, a)):
+                f = Labeling({0: f0, 1: SetLabel([100]), 2: f2})
+                with pytest.raises(ReductionError) as exc:
+                    topological_reduce(path_graph(3), f, 1)
+                assert exc.value.shared_differences == shared
+            checked += 1
+        assert checked > 100
 
     def test_wrong_degree_rejected(self):
         g = Graph(4, [(0, 1), (0, 2), (0, 3)])

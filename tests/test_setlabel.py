@@ -1,12 +1,15 @@
 """Set-label arithmetic: sumsets, difference sets, and the maximality
 criterion, checked against naive enumeration oracles."""
 
+import importlib
 from random import Random
 
 import pytest
 
 from iasi import SetLabel, sumset, difference_set, is_sumset_maximal
 from helpers import naive_sumset, naive_difference_set, small_sets
+
+setlabel_module = importlib.import_module("iasi.setlabel")
 
 
 class TestSetLabel:
@@ -132,6 +135,20 @@ class TestMaximality:
 
     def test_singleton_always_maximal(self):
         assert is_sumset_maximal(SetLabel([4]), SetLabel([0, 9, 11]))
+
+    def test_large_label_builds_no_difference_set(self, monkeypatch):
+        # a quadratic difference set of a 100,000-element label would run
+        # for minutes; fail at once instead
+        real = setlabel_module.difference_set
+
+        def guarded(a):
+            assert len(a) <= 1000
+            return real(a)
+
+        monkeypatch.setattr(setlabel_module, "difference_set", guarded)
+        evens = SetLabel(range(0, 200_000, 2))
+        assert not is_sumset_maximal(evens, SetLabel([3, 5]))
+        assert is_sumset_maximal(SetLabel([3, 6]), evens)
 
     def test_equivalent_to_product_size_exhaustively(self):
         # |A+B| = |A||B|  iff  the difference sets are disjoint, over every
