@@ -172,7 +172,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k", type=_int, help="edge label size for uniform targets")
     p.add_argument("--universe", type=_int, required=True, help="labels drawn from {0..universe}")
     p.add_argument("--max-size", type=_int, default=None, help="largest label size (default: universe+1)")
-    p.add_argument("--budget", type=_int, default=SearchSpec.node_budget, help="search-tree node cap")
+    budget = SearchSpec._field_defaults["node_budget"]
+    p.add_argument("--budget", type=_int, default=budget, help="search-tree node cap")
     p.set_defaults(func=cmd_search, out=None)
 
     p = sub.add_parser("reduce", help="remove a degree-2 vertex, joining its neighbors")

@@ -15,7 +15,7 @@ All constructors are deterministic: identical inputs give identical labels.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .graphs import Graph, Bipartition, _id_summary, is_valid_bipartition
 from .setlabel import MAX_ELEMENTS, SetLabel, difference_set
@@ -34,31 +34,35 @@ class ReductionError(ValueError):
         self.shared_differences = shared_differences
 
 
-@dataclass(frozen=True)
-class FactorPair:
-    m: int
-    n: int
+class FactorPair(namedtuple("FactorPair", "m n")):
+    """Positive factors of k = m*n."""
 
-    def __post_init__(self):
+    __slots__ = ()
+    _make = classmethod(lambda cls, fields: cls(*fields))  # so that _replace validates too
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if self.m < 1 or self.n < 1:
             raise ConstructionError("factors must be positive")
+        return self
 
 
-@dataclass(frozen=True)
-class ConstructionParams:
+class ConstructionParams(namedtuple("ConstructionParams", "k factors", defaults=(None,))):
     """Inputs for the bipartite construction: target edge size k and an
-    optional factorization k = m*n."""
+    optional FactorPair with k = m*n."""
 
-    k: int
-    factors: FactorPair | None = None
+    __slots__ = ()
+    _make = classmethod(lambda cls, fields: cls(*fields))
 
-    def __post_init__(self):
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if self.k < 1:
             raise ConstructionError("k must be positive")
         if self.factors is not None and self.factors.m * self.factors.n != self.k:
             raise ConstructionError(
                 f"factors {self.factors.m}*{self.factors.n} != k={self.k}"
             )
+        return self
 
 
 def default_factor_pair(k: int) -> FactorPair:

@@ -9,9 +9,8 @@ labeling file prepared for the graph stays aligned with it.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
 from itertools import chain, islice
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
 
 class GraphFormatError(ValueError):
@@ -122,8 +121,7 @@ def _parse_id(token: str) -> int:
     return v
 
 
-@dataclass(frozen=True)
-class Bipartition:
+class Bipartition(NamedTuple):
     """A 2-coloring of a bipartite graph's vertex set."""
 
     side_x: frozenset[int]

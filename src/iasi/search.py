@@ -26,8 +26,9 @@ claims nonexistence beyond it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from itertools import combinations
+from typing import NamedTuple
 
 from .graphs import Graph, _two_coloring
 from .setlabel import MAX_ELEMENTS, SetLabel
@@ -45,24 +46,23 @@ class BudgetExceededError(RuntimeError):
     reports it as the status "budget-exceeded"."""
 
 
-@dataclass(frozen=True)
-class SearchSpec:
+class SearchSpec(namedtuple(
+    "SearchSpec", "universe_max max_label_size target k node_budget", defaults=(None, 10_000_000)
+)):
     """Bounds and target for one exhaustive run.
 
     Labels are drawn from subsets of {0..universe_max} with at most
     max_label_size elements; universe_max + 1 may not exceed
     setlabel.MAX_ELEMENTS.  Targets: "any-strong" (a strong set-indexer),
     "strong" (strongly k-uniform), "weak" (weakly k-uniform); the uniform
-    targets require k.
+    targets require k.  node_budget caps the nodes visited.
     """
 
-    universe_max: int
-    max_label_size: int
-    target: str
-    k: int | None = None
-    node_budget: int = 10_000_000
+    __slots__ = ()
+    _make = classmethod(lambda cls, fields: cls(*fields))
 
-    def __post_init__(self):
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if not 0 <= self.universe_max < MAX_ELEMENTS:
             raise ValueError(f"universe_max must be in 0..{MAX_ELEMENTS - 1}")
         if self.max_label_size < 1:
@@ -78,10 +78,10 @@ class SearchSpec:
                 raise ValueError(f"target {self.target!r} requires a positive k")
         elif self.k is not None:
             raise ValueError("target 'any-strong' takes no k")
+        return self
 
 
-@dataclass(frozen=True)
-class SearchOutcome:
+class SearchOutcome(NamedTuple):
     status: str  # "found" | "exhausted-none" | "budget-exceeded"
     witness: Labeling | None
     nodes_visited: int

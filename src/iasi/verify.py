@@ -11,7 +11,6 @@ from __future__ import annotations
 import json
 import math
 from collections import Counter
-from dataclasses import dataclass
 from typing import Mapping, NamedTuple
 
 from .graphs import (
@@ -105,8 +104,7 @@ class Violation(NamedTuple):
         return {"kind": self.kind, "message": self.message, "witness": list(self.witness)}
 
 
-@dataclass(frozen=True)
-class VerificationReport:
+class VerificationReport(NamedTuple):
     is_iasi: bool
     is_weak: bool
     is_strong: bool
@@ -119,7 +117,7 @@ class VerificationReport:
     def as_dict(self) -> dict:
         edge_sizes = {f"{u}-{v}": s for (u, v), s in self.edge_sizes.items()}
         violations = [viol.as_dict() for viol in self.violations]
-        return {**vars(self), "edge_sizes": edge_sizes, "violations": violations}
+        return {**self._asdict(), "edge_sizes": edge_sizes, "violations": violations}
 
 
 def _require_total(g: Graph, f: Labeling) -> None:
@@ -308,8 +306,7 @@ def divisors_of(k: int) -> list[int]:
     return small + large[::-1]
 
 
-@dataclass(frozen=True)
-class ComponentReport:
+class ComponentReport(NamedTuple):
     """Divisor-class view of one connected component."""
 
     vertices: tuple[int, ...]
@@ -318,11 +315,10 @@ class ComponentReport:
     clique: bool
 
     def as_dict(self) -> dict:
-        return {**vars(self), "vertices": list(self.vertices), "sizes": list(self.sizes)}
+        return {**self._asdict(), "vertices": list(self.vertices), "sizes": list(self.sizes)}
 
 
-@dataclass(frozen=True)
-class PartitionReport:
+class PartitionReport(NamedTuple):
     """Divisor classes and component structure of a strongly k-uniform labeling."""
 
     k: int
@@ -341,7 +337,7 @@ class PartitionReport:
     def as_dict(self) -> dict:
         classes = {str(d): list(vs) for d, vs in self.classes.items()}
         components = [c.as_dict() for c in self.components]
-        return {**vars(self), "classes": classes, "components": components}
+        return {**self._asdict(), "classes": classes, "components": components}
 
 
 def analyze_divisor_partition(g: Graph, f: Labeling, k: int) -> PartitionReport:
