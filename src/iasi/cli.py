@@ -11,8 +11,8 @@ for identical invocations.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
+from json.encoder import encode_basestring_ascii as _string
 
 from . import __version__
 from .construct import (
@@ -41,8 +41,38 @@ def _read_labels(path: str) -> Labeling:
         return Labeling.from_json(fh.read())
 
 
+def _dumps(o, pad: str = "\n") -> str:
+    """o as json.dumps(o, indent=2) writes it, for the types of a report:
+    dicts with str keys, lists, tuples, str, int, bool and None."""
+    t = type(o)
+    if t is str:
+        return _string(o)
+    if t is int:
+        return int.__repr__(o)
+    inner = pad + "  "
+    if t is dict:
+        if not o:
+            return "{}"
+        items = [_string(key) + ": " + _dumps(value, inner) for key, value in o.items()]
+        return "{" + inner + ("," + inner).join(items) + pad + "}"
+    if t is list or t is tuple:
+        if not o:
+            return "[]"
+        if all(type(e) is int for e in o):
+            items = map(int.__repr__, o)
+        else:
+            items = [_dumps(e, inner) for e in o]
+        return "[" + inner + ("," + inner).join(items) + pad + "]"
+    if o is None:
+        return "null"
+    if t is bool:
+        return "true" if o else "false"
+    raise TypeError(f"{t.__name__} is not a report value")
+
+
 def _emit(payload: dict, out: str | None) -> None:
-    text = json.dumps(payload, indent=2)
+    """Write payload as json.dumps(payload, indent=2) followed by a newline."""
+    text = _dumps(payload)
     if out:
         with open(out, "w", encoding="utf-8") as fh:
             fh.write(text + "\n")

@@ -73,7 +73,8 @@ class SetLabel:
 def _from_sorted(elements: tuple[int, ...]) -> SetLabel:
     """A label from a strictly increasing, nonempty tuple of non-negative
     ints, taken as is.  Only for results of arithmetic on validated labels,
-    which meet those conditions by construction."""
+    which meet those conditions by construction, and for arrays that
+    `Labeling.from_json` has checked."""
     label = object.__new__(SetLabel)
     object.__setattr__(label, "elements", elements)
     return label

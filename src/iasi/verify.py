@@ -16,7 +16,7 @@ from typing import Mapping, NamedTuple
 from .graphs import (
     MAX_ID_DIGITS, Graph, Edge, _clip, _id_summary, _parse_id, connected_components, is_clique,
 )
-from .setlabel import SetLabel, difference_set, sumset
+from .setlabel import SetLabel, _from_sorted, difference_set, sumset
 
 
 class LabelingError(ValueError):
@@ -86,10 +86,11 @@ class Labeling:
                 raise LabelingError(f"label for vertex {vid} must be an integer array")
             if arr != sorted(set(arr)):
                 raise LabelingError(f"label for vertex {vid} must be strictly ascending")
-            try:
-                assignment[v] = SetLabel(arr)
-            except ValueError as exc:
-                raise LabelingError(f"label for vertex {vid}: {exc}") from None
+            if not arr:
+                raise LabelingError(f"label for vertex {vid}: a set label must be nonempty")
+            if arr[0] < 0:
+                raise LabelingError(f"label for vertex {vid}: negative element {arr[0]} in set label")
+            assignment[v] = _from_sorted(tuple(arr))
         return cls(assignment)
 
 

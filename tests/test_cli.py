@@ -8,8 +8,11 @@ from random import Random
 
 import pytest
 
-from iasi import search
-from iasi.cli import main
+from iasi import (
+    ConstructionParams, Labeling, SetLabel, analyze_divisor_partition, bipartition_of,
+    construct_bipartite_strong, parse_edge_list, search, verify,
+)
+from iasi.cli import _dumps, main
 
 
 @pytest.fixture
@@ -500,6 +503,81 @@ class TestAnalyzeCommand:
         assert payload["k_is_square"] is True
         assert payload["clique_component_present"] is True
         assert payload["components"][0]["kind"] == "square-class"
+
+
+def divisor_forest(components):
+    """Edge-list text and labeling of a strongly 4-uniform forest whose
+    components alternate between 2*2 edges and stars of a singleton centre
+    with 4-element leaves; every label is shifted clear of the others."""
+    edges, labels = [], {}
+    for c in range(components):
+        v, o = len(labels), 1000 * c
+        if c % 2:
+            edges += [(v, v + 1)]
+            labels |= {v: [o, o + 1], v + 1: [o + 10, o + 12]}
+        else:
+            edges += [(v, v + 1), (v, v + 2), (v, v + 3)]
+            labels[v] = [o]
+            labels |= {v + j: [o + 100 * j + t for t in range(4)] for j in (1, 2, 3)}
+    text = "".join(f"{u} {w}\n" for u, w in edges)
+    return text, Labeling({v: SetLabel(a) for v, a in labels.items()})
+
+
+class TestReportWriter:
+    """_emit writes json.dumps(payload, indent=2) and a newline, through
+    its own writer."""
+
+    def test_matches_json_dumps(self):
+        hypothesis = pytest.importorskip("hypothesis")
+        st = hypothesis.strategies
+        # non-ASCII, quote, backslash, control characters and a lone surrogate
+        chars = st.sampled_from('a"\\\x00\x1f\x7f\n\t\u00e9\u20ac\U0001f600\u2028\ud800')
+        text = st.text(chars | st.characters(), max_size=6)
+        ints = st.integers() | st.sampled_from([0, -1, 2**64, 2**64 + 1, -(2**70)])
+        leaves = st.none() | st.booleans() | ints | text
+        values = st.recursive(
+            leaves,
+            lambda inner: st.lists(inner, max_size=4)
+            | st.lists(inner, max_size=4).map(tuple)
+            | st.dictionaries(text, inner, max_size=4),
+            max_leaves=24,
+        )
+
+        @hypothesis.settings(derandomize=True, max_examples=200, database=None, deadline=None)
+        @hypothesis.given(values)
+        @hypothesis.example({"a": {}, "b": [[], {}, ()], "": [[[]]]})
+        def check(value):
+            assert _dumps(value) == json.dumps(value, indent=2)
+
+        check()
+
+    @pytest.mark.parametrize("value", [1.5, {"a": [0, 0.5]}, {1: 2}, {"a": {("b",): 1}}],
+                             ids=["float", "nested-float", "int-key", "tuple-key"])
+    def test_rejects_what_no_report_holds(self, value):
+        with pytest.raises(TypeError):
+            _dumps(value)
+
+    def test_cli_writes_json_dumps_indent_2(self, capsys, tmp_path):
+        # strong k = 6 K_{20,20}, and a small divisor forest
+        kbb = "".join(f"{i} {20 + j}\n" for i in range(20) for j in range(20))
+        g = parse_edge_list(kbb)
+        f = construct_bipartite_strong(g, bipartition_of(g), ConstructionParams(6))
+        forest_text, forest_labels = divisor_forest(12)
+        forest = parse_edge_list(forest_text)
+        cases = [
+            ("verify", kbb, f, [], verify(g, f).as_dict()),
+            ("analyze", forest_text, forest_labels, ["--k", "4"],
+             analyze_divisor_partition(forest, forest_labels, 4).as_dict()),
+        ]
+        for command, edges, labeling, extra, payload in cases:
+            graph, labels, out = (tmp_path / f"{command}.{ext}" for ext in ("txt", "json", "out"))
+            graph.write_text(edges)
+            labels.write_text(labeling.to_json())
+            expected = json.dumps(payload, indent=2) + "\n"
+            argv = [command, "--graph", str(graph), "--labels", str(labels), *extra]
+            assert run(capsys, argv) == (0, expected, ""), command
+            assert run(capsys, [*argv, "--out", str(out)]) == (0, "", ""), command
+            assert out.read_text(encoding="utf-8") == expected, command
 
 
 @pytest.mark.parametrize(

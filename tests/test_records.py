@@ -169,6 +169,33 @@ def test_cli_start_up_imports_no_dataclasses(tmp_path):
     assert run.stdout.splitlines()[-1] == "0 []"
 
 
+def test_cli_run_loads_only_the_stdlib_modules_it_imports(tmp_path):
+    # a run of every command that writes a report (parsing, the work, the
+    # JSON writer) loads no module beyond the stdlib modules src/iasi
+    # imports and what argparse loads when it builds a parser
+    (tmp_path / "p3.txt").write_text("0 1\n1 2\n")
+    (tmp_path / "l.json").write_text('{"0": [0, 1], "1": [10, 12], "2": [30, 34]}')
+    files = [f"--graph={tmp_path / 'p3.txt'}", f"--labels={tmp_path / 'l.json'}"]
+    runs = [["verify", *files, f"--out={tmp_path / 'out.json'}"], ["analyze", *files, "--k=4"],
+            ["reduce", *files, "--vertex=1"], ["construct", files[0], "--k=6"],
+            ["search", files[0], "--target=strong", "--k=4", "--universe=3"]]
+    src = str(Path(iasi.__file__).resolve().parents[1])
+    script = (
+        "import sys\n"
+        "import __future__, argparse, collections, itertools, json, math, types, typing\n"
+        "argparse.ArgumentParser(prog='x').add_argument('--x')\n"
+        "stdlib = set(sys.modules)\n"
+        f"sys.path.insert(0, {src!r})\n"
+        "import iasi.cli\n"
+        f"codes = [iasi.cli.main(argv) for argv in {runs!r}]\n"
+        "print(codes, sorted(m for m in set(sys.modules) - stdlib if m.split('.')[0] != 'iasi'))\n"
+    )
+    run = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                         timeout=60)
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.splitlines()[-1] == "[0, 0, 0, 0, 0] []"
+
+
 def test_records_are_tuples_of_their_fields():
     # documented: records equal the plain tuple of their fields and unpack
     bp = bipartition_of(path_graph(3))

@@ -380,6 +380,27 @@ class TestLabelingJson:
         with pytest.raises(LabelingError, match="ascending"):
             Labeling.from_json('{"0": [2, 1]}')
 
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ('{"0": [0], "1": []}', "label for vertex 1: a set label must be nonempty"),
+            ('{"0": [-1, 2]}', "label for vertex 0: negative element -1 in set label"),
+            ('{"0": [0, true]}', "label for vertex 0 must be an integer array"),
+            ('{"0": [0, 1.0]}', "label for vertex 0 must be an integer array"),
+            ('{"0": [[1]]}', "label for vertex 0 must be an integer array"),
+            ('{"0": [1, 1]}', "label for vertex 0 must be strictly ascending"),
+            ('{"0": [0, 3, 2]}', "label for vertex 0 must be strictly ascending"),
+            ('{"0": [1], "1": [2], "0": [3]}', "vertex 0 is labeled twice"),
+            ('{"0": [1], "-1": [2]}', "negative vertex id -1"),
+        ],
+        ids=["empty", "negative-element", "boolean-element", "float-element", "nested-list",
+             "duplicate-element", "descending", "vertex-labeled-twice", "negative-vertex-id"],
+    )
+    def test_label_error_messages(self, text, message):
+        with pytest.raises(LabelingError) as exc:
+            Labeling.from_json(text)
+        assert str(exc.value) == message
+
     def test_rejects_non_object(self):
         with pytest.raises(LabelingError):
             Labeling.from_json("[1,2]")
