@@ -58,10 +58,7 @@ def _dumps(o, pad: str = "\n") -> str:
     if t is list or t is tuple:
         if not o:
             return "[]"
-        if all(type(e) is int for e in o):
-            items = map(int.__repr__, o)
-        else:
-            items = [_dumps(e, inner) for e in o]
+        items = [_dumps(e, inner) for e in o]
         return "[" + inner + ("," + inner).join(items) + pad + "]"
     if o is None:
         return "null"

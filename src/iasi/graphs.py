@@ -87,10 +87,10 @@ class _IdTooLongError(ValueError):
     """A decimal id with more than MAX_ID_DIGITS digits."""
 
 
-def _clip(text: str, limit: int = 40) -> str:
-    """text cut to limit characters and '…', so an error line stays short
+def _clip(text: str) -> str:
+    """text cut to 40 characters and '…', so an error line stays short
     whatever the input holds."""
-    return text if len(text) <= limit else text[:limit] + "…"
+    return text if len(text) <= 40 else text[:40] + "…"
 
 
 def _id_summary(ids: Iterable[int], count: int) -> str:

@@ -176,6 +176,7 @@ def _edge_pass(
         keys.append((lo[u] + lo[v], hi[u] + hi[v], n))
     firsts: dict[int, tuple[Edge, SetLabel]] = {}
     count = Counter(keys)
+    # all keys distinct means all labels distinct, and the scan is skipped
     if len(count) < len(keys):
         # the first position with each label, per shared key
         buckets: dict[tuple, dict[SetLabel, int]] = {}
@@ -375,23 +376,16 @@ def analyze_divisor_partition(g: Graph, f: Labeling, k: int) -> PartitionReport:
         classes.setdefault(size[v], []).append(v)
 
     comps = []
-    bip_count = 0
-    sq_count = 0
-    clique_present = False
     for comp in connected_components(g):
         vs = tuple(sorted(comp))
-        sizes = tuple(sorted({size[v] for v in vs}))
-        if len(sizes) == 1 and k_is_square and sizes[0] == root:
-            kind = "square-class"
-            sq_count += 1
-        else:
-            kind = "bipartite-pair"
-            bip_count += 1
+        comp_sizes = tuple(sorted({size[v] for v in vs}))
+        kind = "square-class" if k_is_square and comp_sizes == (root,) else "bipartite-pair"
         # K_2 components are complete but bipartite; the clique flag marks
         # complete components that cannot be bipartite (>= 3 vertices)
         clique = len(vs) >= 3 and is_clique(g, vs)
-        clique_present = clique_present or clique
-        comps.append(ComponentReport(vs, kind, sizes, clique))
+        comps.append(ComponentReport(vs, kind, comp_sizes, clique))
+    sq_count = sum(c.kind == "square-class" for c in comps)
+    bip_count = len(comps) - sq_count
 
     if k_is_square:
         bip_bound = (n_div - 1) // 2
@@ -405,7 +399,7 @@ def analyze_divisor_partition(g: Graph, f: Labeling, k: int) -> PartitionReport:
         k=k,
         k_is_square=k_is_square,
         divisor_count=n_div,
-        classes={d: tuple(sorted(classes[d])) for d in divs if d in classes},
+        classes={d: tuple(classes[d]) for d in divs if d in classes},
         components=comps,
         bipartite_component_count=bip_count,
         square_component_count=sq_count,
@@ -413,5 +407,5 @@ def analyze_divisor_partition(g: Graph, f: Labeling, k: int) -> PartitionReport:
         total_bound=total_bound,
         bipartite_bound_satisfied=bip_count <= bip_bound,
         total_bound_satisfied=total_ok,
-        clique_component_present=clique_present,
+        clique_component_present=any(c.clique for c in comps),
     )

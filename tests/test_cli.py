@@ -557,6 +557,21 @@ class TestReportWriter:
         with pytest.raises(TypeError):
             _dumps(value)
 
+    @pytest.mark.parametrize(
+        "value",
+        [
+            list(range(-10_000, 10_000)),
+            {f"{u}-{u + 1}": [u, u + 1] for u in range(50)},
+            [{"kind": "weak-equality", "witness": [u, 2 * u]} for u in range(5)],
+            [0, True, 1, False, -1, [True, 2], (3, False), 2**64],
+            [-1, -(2**63), 2**64, 2**64 + 1, -(2**70), 10**40],
+        ],
+        ids=["20000-ints", "witness-dict", "witness-list", "ints-and-bools", "negative-and-huge"],
+    )
+    def test_int_lists_match_json_dumps(self, value):
+        # the hypothesis strategy above draws only short lists
+        assert _dumps(value) == json.dumps(value, indent=2)
+
     def test_cli_writes_json_dumps_indent_2(self, capsys, tmp_path):
         # strong k = 6 K_{20,20}, and a small divisor forest
         kbb = "".join(f"{i} {20 + j}\n" for i in range(20) for j in range(20))

@@ -6,6 +6,7 @@ from random import Random
 import pytest
 
 from iasi import (
+    Bipartition,
     Graph,
     GraphFormatError,
     bipartition_of,
@@ -18,6 +19,7 @@ from iasi import (
     parse_edge_list,
     path_graph,
 )
+from iasi.graphs import is_valid_bipartition
 from helpers import graphs_without_isolated
 
 
@@ -113,6 +115,11 @@ class TestBipartition:
         assert 0 in bp.side_x
         assert 2 in bp.side_x  # lowest id of the second component
 
+    def test_overlapping_sides_are_not_a_bipartition(self):
+        g = path_graph(2)
+        assert is_valid_bipartition(g, Bipartition(frozenset({0}), frozenset({1})))
+        assert not is_valid_bipartition(g, Bipartition(frozenset({0, 1}), frozenset({1})))
+
     def test_none_exactly_when_odd_cycle_exists(self):
         # oracle: exhaustive 2-coloring over all assignments
         for n in range(2, 6):
@@ -205,3 +212,37 @@ def test_graph_invariants_enforced():
         Graph(2, [(0, 3)])
     with pytest.raises(GraphFormatError):
         Graph(3, [(0, 1)])  # vertex 2 isolated
+
+
+class TestGraphObject:
+    def test_hash_and_repr(self):
+        g = path_graph(3)
+        assert hash(g) == hash(Graph(3, [(2, 1), (1, 0)]))
+        assert repr(g) == "Graph(3, [(0, 1), (1, 2)])"
+
+    def test_immutable(self):
+        g = path_graph(2)
+        with pytest.raises(AttributeError, match="Graph is immutable"):
+            g.vertex_count = 5
+        with pytest.raises(AttributeError, match="Graph is immutable"):
+            g.color = 1
+
+    def test_not_equal_to_a_foreign_type(self):
+        g = path_graph(2)
+        assert g.__eq__((2, ((0, 1),))) is NotImplemented
+        assert g != (2, ((0, 1),))
+        assert g != "Graph(2, [(0, 1)])"
+
+    @pytest.mark.parametrize(
+        "build, message",
+        [
+            (lambda: complete_graph(1), "a complete graph needs at least 2 vertices"),
+            (lambda: path_graph(1), "a path needs at least 2 vertices"),
+            (lambda: cycle_graph(2), "a cycle needs at least 3 vertices"),
+            (lambda: complete_bipartite_graph(0, 1), "both sides must be nonempty"),
+        ],
+        ids=["complete-1", "path-1", "cycle-2", "bipartite-0-1"],
+    )
+    def test_family_argument_errors(self, build, message):
+        with pytest.raises(ValueError, match=message):
+            build()

@@ -229,6 +229,11 @@ class TestSpecValidation:
         with pytest.raises(ValueError):
             SearchSpec(4, 2, "rainbow")
 
+    def test_graph_without_edges(self):
+        with pytest.raises(ValueError, match="graph has no edges"):
+            brute_force_search(Graph(0, []), SearchSpec(2, 1, "any-strong"))
+
+
 class TestCountLabelings:
     def test_p2_weak1(self):
         assert count_labelings(path_graph(2), SearchSpec(1, 1, "weak", 1)) == 2

@@ -34,6 +34,12 @@ class TestSetLabel:
         assert hash(SetLabel([0, 1])) == hash(SetLabel([0, 1]))
         assert SetLabel([0, 1]) != SetLabel([0, 2])
 
+    def test_not_equal_to_a_foreign_type(self):
+        a = SetLabel([0, 1])
+        assert a.__eq__((0, 1)) is NotImplemented
+        assert a != (0, 1)
+        assert a != frozenset({0, 1})
+
     def test_immutable(self):
         a = SetLabel([0, 1])
         with pytest.raises(AttributeError):

@@ -368,6 +368,23 @@ class TestAnalyze:
             )
 
 
+class TestLabelingObject:
+    def test_vertices_ascend(self):
+        assert labeling({2: [5], 0: [0, 1], 1: [2]}).vertices() == [0, 1, 2]
+
+    def test_immutable(self):
+        f = labeling({0: [0]})
+        with pytest.raises(AttributeError, match="Labeling is immutable"):
+            f.assignment = {}
+        with pytest.raises(AttributeError, match="Labeling is immutable"):
+            f.extra = 1
+
+    def test_not_equal_to_a_foreign_type(self):
+        f = labeling({0: [0, 1]})
+        assert f.__eq__({0: SetLabel([0, 1])}) is NotImplemented
+        assert f != {0: SetLabel([0, 1])}
+
+
 class TestLabelingJson:
     def test_round_trip(self):
         f = labeling({0: [0, 1], 1: [0, 2]})
