@@ -36,11 +36,6 @@ from .verify import Labeling, divisors_of
 
 TARGETS = ("any-strong", "strong", "weak")
 
-# An edge label's key packs its minimum sum into this many low bits, below
-# the mask: two labels' elements sum to less than 2 * MAX_ELEMENTS.
-_SUM_BITS = (2 * MAX_ELEMENTS).bit_length()
-
-
 class BudgetExceededError(RuntimeError):
     """Raised when a search runs past its node budget; brute_force_search
     reports it as the status "budget-exceeded"."""
@@ -136,10 +131,10 @@ class _Searcher:
         # sizes multiply to k; weak sizes pair a singleton, always strong,
         # with a k-set), so what is left to check is strength,
         # |A + B| = |A|·|B|, and distinct labels.  An edge label's key is the
-        # bitmask of its sums less their minimum, with the minimum below it.
+        # bitmask of its sums less their minimum, paired with the minimum.
         labels: list[tuple[int, ...]] = [()] * nv
         used_labels: set[tuple[int, ...]] = set()
-        edge_keys: set[int] = set()
+        edge_keys: set[tuple[int, int]] = set()
 
         def place(v: int):
             """Yield True once per candidate label of v that passes every
@@ -172,7 +167,7 @@ class _Searcher:
                             mask |= cmask << (a - a0)
                         if mask.bit_count() != len(ulabel) * s:
                             break
-                        key = (mask << _SUM_BITS) | (a0 + lo)
+                        key = (mask, a0 + lo)
                         if key in edge_keys or key in new_keys:
                             break
                         new_keys.append(key)

@@ -150,8 +150,7 @@ def _edge_pass(
     lo = [a.elements[0] for a in labels]
     hi = [a.elements[-1] for a in labels]
     diffs = [
-        frozenset() if s == 1
-        else difference_set(a)
+        difference_set(a)
         if s <= 5 or s - 1 <= 2 * sum(size[u] for u in g.neighbors(v) if size[u] > 1)
         else None
         for v, (a, s) in enumerate(zip(labels, size))

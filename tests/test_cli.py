@@ -1,13 +1,18 @@
 """End-to-end CLI checks: flag grammar, JSON output, exit codes, round trips."""
 
 import json
+import os
 import re
+import subprocess
+import sys
 import types
 from collections import Counter
+from pathlib import Path
 from random import Random
 
 import pytest
 
+import iasi
 from iasi import (
     ConstructionParams, Labeling, SetLabel, analyze_divisor_partition, bipartition_of,
     construct_bipartite_strong, parse_edge_list, search, verify,
@@ -749,3 +754,15 @@ def test_no_command_is_usage_error(capsys):
     with pytest.raises(SystemExit) as exc:
         main([])
     assert exc.value.code == 2
+
+
+def test_python_m_exits_with_the_code_main_returns(capsys, tmp_path, p2):
+    # `python -m iasi.cli` runs main() under the __main__ guard
+    labels = tmp_path / "l.json"
+    labels.write_text('{"0": [0, 1], "1": [10, 12]}')
+    env = dict(os.environ, PYTHONPATH=str(Path(iasi.__file__).resolve().parents[1]))
+    for argv in (["verify", "--graph", p2, "--labels", str(labels)],
+                 ["verify", "--graph", p2, "--labels", str(tmp_path / "missing.json")]):
+        done = subprocess.run([sys.executable, "-m", "iasi.cli", *argv], capture_output=True,
+                              text=True, timeout=60, env=env)
+        assert (done.returncode, done.stdout, done.stderr) == run(capsys, argv)

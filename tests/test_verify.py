@@ -22,6 +22,7 @@ from iasi import (
     complete_graph,
     construct_bipartite_strong,
     construct_complete_strong,
+    construct_weak_uniform,
     divisors_of,
     path_graph,
     topological_reduce,
@@ -243,6 +244,8 @@ class TestEdgePassCost:
         g = complete_bipartite_graph(150, 150)
         f = construct_bipartite_strong(g, bipartition_of(g), ConstructionParams(60))
         assert verify(g, f).is_strong
+        # 150 singletons against 5-element intervals
+        assert verify(g, construct_weak_uniform(g, bipartition_of(g), 5)).is_strong
         assert verify(complete_graph(150), construct_complete_strong(150, 3)).is_strong
         assert not calls["sumset"]
 
