@@ -42,8 +42,8 @@ class FactorPair(namedtuple("FactorPair", "m n")):
 
     def __new__(cls, *args, **kwargs):
         self = super().__new__(cls, *args, **kwargs)
-        if self.m < 1 or self.n < 1:
-            raise ConstructionError("factors must be positive")
+        if not all(type(x) is int and x >= 1 for x in self):  # bool is not a factor
+            raise ConstructionError("factors must be positive integers")
         return self
 
 
@@ -56,6 +56,8 @@ class ConstructionParams(namedtuple("ConstructionParams", "k factors", defaults=
 
     def __new__(cls, *args, **kwargs):
         self = super().__new__(cls, *args, **kwargs)
+        if type(self.k) is not int:
+            raise ConstructionError("k must be an integer")
         if self.k < 1:
             raise ConstructionError("k must be positive")
         if self.factors is not None and self.factors.m * self.factors.n != self.k:

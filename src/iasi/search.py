@@ -16,9 +16,10 @@ k), so along a 2-coloring of each connected component they alternate d and
 k/d, and an odd cycle forces d = sqrt(k).  The lowest-id vertex of each
 component tries every feasible d in ascending order and fixes the size of
 every other vertex in it; a component with no feasible d ends the search
-without trying a label.  One depth-first search yields each labeling, for
-brute_force_search to take the first and count_labelings to count; it keeps
-an explicit stack of generators, so recursion limits do not bound its depth.
+without trying a label.  One depth-first search counts the labelings, or
+stops at the first; the last vertex counts its passing candidates without
+applying them, as no later vertex reads them.  It keeps an explicit stack
+of generators, so recursion limits do not bound its depth.
 
 A negative answer is always scoped to the universe bound; the search never
 claims nonexistence beyond it.
@@ -58,6 +59,9 @@ class SearchSpec(namedtuple(
 
     def __new__(cls, *args, **kwargs):
         self = super().__new__(cls, *args, **kwargs)
+        for name, value in zip(self._fields, self):  # type(): a bool is refused
+            if name != "target" and type(value) is not int and not (name == "k" and value is None):
+                raise ValueError(f"{name} must be an integer")
         if not 0 <= self.universe_max < MAX_ELEMENTS:
             raise ValueError(f"universe_max must be in 0..{MAX_ELEMENTS - 1}")
         if self.max_label_size < 1:
@@ -120,9 +124,9 @@ class _Searcher:
                 square if v in odd_roots else sizes for v in g.vertices()
             ]
 
-    def solutions(self):
-        """Yield the placed labels, indexed by vertex, at each complete
-        labeling in DFS order; the list is reused when the search resumes."""
+    def run(self, first: bool) -> tuple[int, list[tuple[int, ...]]]:
+        """Count the complete labelings in DFS order, stopping at the first
+        with first set; return the count and the labels, indexed by vertex."""
         spec = self.spec
         nv = self.g.vertex_count
         k = spec.k
@@ -135,11 +139,14 @@ class _Searcher:
         labels: list[tuple[int, ...]] = [()] * nv
         used_labels: set[tuple[int, ...]] = set()
         edge_keys: set[tuple[int, int]] = set()
+        nodes = found = 0
 
         def place(v: int):
-            """Yield True once per candidate label of v that passes every
-            check against the vertices before it, with the label applied;
-            undo it when resumed."""
+            """For each candidate label of v that passes every check against
+            the vertices before it: apply it, yield True, and undo it when
+            resumed.  The last vertex counts it instead (with first set, it
+            keeps the first and returns)."""
+            nonlocal nodes, found
             r = self.root[v]
             if r == v:
                 sizes = self.root_sizes[v]
@@ -147,10 +154,11 @@ class _Searcher:
                 d = len(labels[r])
                 sizes = (k // d if self.color[v] else d,)
             back = self.back[v]
+            last = v == nv - 1
             for s in sizes:
                 for cand in combinations(universe, s):
-                    self.nodes += 1
-                    if self.nodes > budget:
+                    nodes += 1
+                    if nodes > budget:
                         raise BudgetExceededError(f"node budget {budget} exceeded")
                     if cand in used_labels:
                         continue
@@ -172,6 +180,12 @@ class _Searcher:
                             break
                         new_keys.append(key)
                     else:
+                        if last:
+                            found += 1
+                            if first:
+                                labels[v] = cand
+                                return
+                            continue
                         labels[v] = cand
                         used_labels.add(cand)
                         edge_keys.update(new_keys)
@@ -180,17 +194,19 @@ class _Searcher:
                         used_labels.remove(cand)
 
         if not all(self.root_sizes[r] for r in set(self.root)):
-            return  # some component has no feasible size
+            return 0, labels  # some component has no feasible size
         # shared by every place(): combinations() copies any non-tuple input
         universe = tuple(range(spec.universe_max + 1))
         stack = [place(0)]
-        while stack:
-            if not next(stack[-1], False):
-                stack.pop()
-            elif len(stack) < nv:
-                stack.append(place(len(stack)))
-            else:
-                yield labels
+        try:
+            while stack and not (first and found):
+                if next(stack[-1], False):
+                    stack.append(place(len(stack)))
+                else:
+                    stack.pop()
+        finally:
+            self.nodes = nodes
+        return found, labels
 
 
 def brute_force_search(g: Graph, spec: SearchSpec) -> SearchOutcome:
@@ -198,10 +214,10 @@ def brute_force_search(g: Graph, spec: SearchSpec) -> SearchOutcome:
     exists within the universe bound."""
     searcher = _Searcher(g, spec)
     try:
-        labels = next(searcher.solutions(), None)
+        found, labels = searcher.run(first=True)
     except BudgetExceededError:
         return SearchOutcome("budget-exceeded", None, searcher.nodes)
-    if labels is None:
+    if not found:
         return SearchOutcome("exhausted-none", None, searcher.nodes)
     witness = Labeling({v: SetLabel(c) for v, c in enumerate(labels)})
     return SearchOutcome("found", witness, searcher.nodes)
@@ -213,4 +229,4 @@ def count_labelings(g: Graph, spec: SearchSpec) -> int:
     Counts whole labelings, not equivalence classes; intended for tiny
     instances.
     """
-    return sum(1 for _ in _Searcher(g, spec).solutions())
+    return _Searcher(g, spec).run(first=False)[0]

@@ -113,6 +113,21 @@ def test_small_record_reprs():
         (lambda: SearchSpec(8, 2, target="weak", k=0), ValueError,
          "target 'weak' requires a positive k"),
         (lambda: SearchSpec(8, 2, "any-strong", 4), ValueError, "target 'any-strong' takes no k"),
+        # bool is a subclass of int, and a float may equal an int, but
+        # neither is a size, a budget or a factor
+        (lambda: SearchSpec(4.0, 2, "any-strong"), ValueError, "universe_max must be an integer"),
+        (lambda: SearchSpec(4, 2.0, "any-strong"), ValueError, "max_label_size must be an integer"),
+        (lambda: SearchSpec(4, True, "any-strong"), ValueError,
+         "max_label_size must be an integer"),
+        (lambda: SearchSpec(4, 2, "strong", 4.0), ValueError, "k must be an integer"),
+        (lambda: SearchSpec(4, 2, "weak", True), ValueError, "k must be an integer"),
+        (lambda: SearchSpec(4, 2, "any-strong", None, 1e6), ValueError,
+         "node_budget must be an integer"),
+        (lambda: ConstructionParams(True), ConstructionError, "k must be an integer"),
+        (lambda: ConstructionParams(6.0, FactorPair(2, 3)), ConstructionError,
+         "k must be an integer"),
+        (lambda: FactorPair(2.0, 3), ConstructionError, "factors must be positive integers"),
+        (lambda: FactorPair(1, True), ConstructionError, "factors must be positive integers"),
     ],
 )
 def test_validated_records_reject_bad_arguments(make, error, message):
@@ -128,6 +143,12 @@ def test_replace_validates():
         ConstructionParams(6, FactorPair(2, 3))._replace(k=5)
     with pytest.raises(ConstructionError, match="factors must be positive"):
         FactorPair(2, 3)._replace(n=0)
+    with pytest.raises(ValueError, match="k must be an integer"):
+        SearchSpec(8, 2, "strong", 4)._replace(k=4.0)
+    with pytest.raises(ConstructionError, match="k must be an integer"):
+        ConstructionParams(1)._replace(k=True)
+    with pytest.raises(ConstructionError, match="factors must be positive integers"):
+        FactorPair(2, 3)._replace(m=2.0)
 
 
 def test_search_spec_default_budget():

@@ -262,6 +262,24 @@ class TestCountLabelings:
                 path_graph(3), SearchSpec(4, 2, "any-strong", node_budget=3)
             )
 
+    @pytest.mark.parametrize(
+        "g, spec_args, nodes, count",
+        [
+            pytest.param(cycle_graph(4), (5, 2, "strong", 2), 16_401, 11_920, id="c4"),
+            pytest.param(path_graph(4), (4, 2, "any-strong", None), 36_690, 24_050, id="p4"),
+            pytest.param(complete_bipartite_graph(1, 3), (4, 2, "weak", 2), 6_365, 4_200,
+                         id="k13"),
+            pytest.param(complete_bipartite_graph(2, 2), (5, 6, "strong", 9), 8_020, 0,
+                         id="k22"),
+        ],
+    )
+    def test_budget_boundary(self, g, spec_args, nodes, count):
+        # every candidate counts as a node, the last vertex's included: the
+        # count completes within a budget of exactly its nodes, not one less
+        assert count_labelings(g, SearchSpec(*spec_args, node_budget=nodes)) == count
+        with pytest.raises(BudgetExceededError, match=f"node budget {nodes - 1} exceeded"):
+            count_labelings(g, SearchSpec(*spec_args, node_budget=nodes - 1))
+
     def test_found_iff_count_positive(self):
         spec_args = [(4, 2, "any-strong", None), (4, 2, "strong", 4), (4, 2, "weak", 2)]
         for n in (2, 3):
