@@ -40,7 +40,6 @@ from .construct import (
     construct_complete_strong,
     construct_weak_uniform,
     topological_reduce,
-    mian_chowla,
     default_factor_pair,
 )
 from .search import (

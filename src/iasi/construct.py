@@ -7,8 +7,8 @@ Three label families are produced here:
 * weakly k-uniform labelings of bipartite graphs: the first family with
   m = 1, singletons against k-element intervals, since an edge with a
   singleton endpoint is both weak and strong;
-* strong, completely uniform labelings of complete graphs, built from
-  exponentially separated bands with Sidon-sequence offsets.
+* strong, completely uniform labelings of complete graphs, one arithmetic
+  progression per vertex with closed-form gaps and offsets.
 
 All constructors are deterministic: identical inputs give identical labels.
 """
@@ -60,6 +60,8 @@ class ConstructionParams(namedtuple("ConstructionParams", "k factors", defaults=
             raise ConstructionError("k must be an integer")
         if self.k < 1:
             raise ConstructionError("k must be positive")
+        if self.factors is not None and not isinstance(self.factors, FactorPair):
+            raise ConstructionError("factors must be a FactorPair")
         if self.factors is not None and self.factors.m * self.factors.n != self.k:
             raise ConstructionError(
                 f"factors {self.factors.m}*{self.factors.n} != k={self.k}"
@@ -117,61 +119,34 @@ def construct_weak_uniform(g: Graph, bp: Bipartition, k: int) -> Labeling:
     return construct_bipartite_strong(g, bp, ConstructionParams(k, FactorPair(1, k)))
 
 
-def mian_chowla(count: int) -> list[int]:
-    """First terms of the greedy Sidon sequence 1, 2, 4, 8, 13, 21, ...
-
-    All pairwise sums (including doubled terms) are distinct, which keeps
-    the minima of the constructed edge labels distinct.
-
-    Each term is the least integer x above the last one for which no x + b
-    (b a term) is already a pair sum; 2x exceeds every earlier pair sum, so
-    it never collides.  With x larger than every term, x + b = a + c holds
-    exactly when x = c + (a - b) with a > b, so the excluded x are the sums
-    of a term and a positive difference of two terms.  That set is kept
-    as an int bitmask, and the next clear bit is found in one step, so the
-    cost per term is a few shifts of a mask as wide as twice the largest
-    term instead of a test of every integer in turn.
-    """
-    terms: list[int] = []
-    diffs = 0  # bit d: d = a - b for terms a > b
-    forbidden = 0  # bit x: x = c + d for a term c and d in diffs
-    reflected = 0  # bit width - t for each term t
-    width = 0
-    candidate = 1
-    while len(terms) < count:
-        rest = forbidden >> candidate
-        candidate += (~rest & (rest + 1)).bit_length() - 1
-        if candidate > width:
-            reflected <<= candidate
-            width += candidate
-        diffs |= reflected >> (width - candidate)  # candidate - t for each term t
-        reflected |= 1 << (width - candidate)
-        forbidden |= diffs << candidate
-        terms.append(candidate)
-        candidate += 1
-    return terms
-
-
 def construct_complete_strong(num_vertices: int, l: int) -> Labeling:
     """Strong (l*l, l)-completely uniform labeling of K_n.
 
-    Vertex i gets l elements in arithmetic progression with gap B**(i+2)
-    where B = max(l, 2): the difference sets live in disjoint exponential
-    bands, so every edge label has the maximal size l*l.  The progression
-    offsets come from the greedy Sidon sequence, making all edge-label
-    minima, and hence all edge labels, distinct.
+    Vertex i gets {o_i + t*g_i : 0 <= t < l}, with gap g_i = n*l + i and
+    offset o_i = 2*n*n*i + i*i, so every element is below 2n^3 + l^2*n.
+
+    Strong, every edge of size l*l: each g_i lies in [G, G + G/l) with
+    G = n*l.  Take 0 < s, t < l.  If t > s, then t*g_i >= (s+1)*G > s*g_j,
+    so t*g_i = s*g_j forces t = s and i = j: the difference sets are
+    pairwise disjoint.
+
+    A set-indexer: an edge label's least element, o_i + o_j =
+    2n^2(i + j) + (i^2 + j^2) with i^2 + j^2 < 2n^2, gives back i + j and
+    i^2 + j^2, and so the pair {i, j}: the edge-label minima are distinct.
+    The o_i are distinct too, so the vertex labels are, also for l = 1.
     """
+    if type(num_vertices) is not int or type(l) is not int:  # bool is not a size
+        raise ConstructionError("the vertex count and l must be integers")
     if num_vertices < 2:
         raise ConstructionError("K_n needs at least two vertices (no isolated vertices)")
     if l < 1:
         raise ConstructionError("l must be positive")
     if num_vertices * l > MAX_ELEMENTS:
         raise ConstructionError(f"the labels would hold more than {MAX_ELEMENTS} elements")
-    band = max(l, 2)
-    offsets = mian_chowla(num_vertices)
+    n = num_vertices
     assignment = {
-        i: SetLabel(offsets[i] + t * band ** (i + 2) for t in range(l))
-        for i in range(num_vertices)
+        i: SetLabel(2 * n * n * i + i * i + t * (n * l + i) for t in range(l))
+        for i in range(n)
     }
     return Labeling(assignment)
 

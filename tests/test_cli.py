@@ -96,20 +96,20 @@ K33_STRONG6 = """\
 COMPLETE_4_2 = """\
 {
   "0": [
-    1,
-    5
+    0,
+    8
   ],
   "1": [
-    2,
-    10
+    33,
+    42
   ],
   "2": [
-    4,
-    20
+    68,
+    78
   ],
   "3": [
-    8,
-    40
+    105,
+    116
   ]
 }
 """

@@ -27,7 +27,6 @@ from iasi import (
     default_factor_pair,
     difference_set,
     divisors_of,
-    mian_chowla,
     path_graph,
     sumset,
     topological_reduce,
@@ -147,46 +146,10 @@ class TestDefaultFactorPair:
         assert default_factor_pair(9) == FactorPair(3, 3)
 
 
-def reference_mian_chowla(count):
-    """The greedy Sidon sequence by the definition: test each integer in
-    turn against the set of pair sums of the terms so far."""
-    terms = []
-    pair_sums = set()
-    candidate = 1
-    while len(terms) < count:
-        new_sums = {candidate + t for t in terms} | {2 * candidate}
-        if not (new_sums & pair_sums):
-            terms.append(candidate)
-            pair_sums |= new_sums
-        candidate += 1
-    return terms
-
-
-class TestMianChowla:
-    def test_known_prefix(self):
-        assert mian_chowla(8) == [1, 2, 4, 8, 13, 21, 31, 45]
-
-    def test_sidon_property(self):
-        terms = mian_chowla(10)
-        sums = [terms[i] + terms[j] for i in range(10) for j in range(i, 10)]
-        assert len(sums) == len(set(sums))
-
-    def test_matches_set_based_reference(self):
-        want = reference_mian_chowla(150)
-        for count in range(151):
-            assert mian_chowla(count) == want[:count]
-
-    def test_sidon_property_at_300(self):
-        terms = mian_chowla(300)
-        assert terms == sorted(set(terms))
-        sums = [terms[i] + terms[j] for i in range(300) for j in range(i, 300)]
-        assert len(sums) == len(set(sums))
-
-
 class TestCompleteStrong:
     def test_n3_l2_difference_bands(self):
         f = construct_complete_strong(3, 2)
-        assert [sorted(difference_set(f[i])) for i in range(3)] == [[4], [8], [16]]
+        assert [sorted(difference_set(f[i])) for i in range(3)] == [[6], [7], [8]]
         r = verify(complete_graph(3), f)
         assert r.is_iasi and r.is_strong
         assert r.uniform_k == 4 and r.vertex_uniform_l == 2
@@ -206,8 +169,8 @@ class TestCompleteStrong:
         assert r.uniform_k == 9 and r.vertex_uniform_l == 3
         assert len(r.edge_sizes) == 6
 
-    @pytest.mark.parametrize("n", range(2, 9))
-    @pytest.mark.parametrize("l", range(1, 5))
+    @pytest.mark.parametrize("n", range(2, 40))
+    @pytest.mark.parametrize("l", range(1, 6))
     def test_full_range(self, n, l):
         f = construct_complete_strong(n, l)
         r = verify(complete_graph(n), f)
@@ -221,6 +184,19 @@ class TestCompleteStrong:
         assert r.is_iasi and r.is_strong and r.completely_uniform
         assert r.uniform_k == 9 and r.vertex_uniform_l == 3
 
+    def test_k1000_l3_without_verify(self):
+        # the three facts the strong set-indexer rests on, checked directly:
+        # a full verify of K_1000 takes seconds
+        n, l = 1000, 3
+        f = construct_complete_strong(n, l)
+        assert all(len(f[i]) == l for i in range(n))
+        assert max(f[i].elements[-1] for i in range(n)) < 2 * n**3 + l * l * n
+        offsets = [f[i].elements[0] for i in range(n)]
+        pair_sums = {offsets[i] + offsets[j] for i in range(n) for j in range(i + 1, n)}
+        assert len(pair_sums) == n * (n - 1) // 2
+        differences = [difference_set(f[i]) for i in range(n)]
+        assert len(set().union(*differences)) == sum(map(len, differences)) == n * (l - 1)
+
     def test_rejects_bad_args(self):
         with pytest.raises(ConstructionError):
             construct_complete_strong(0, 2)
@@ -228,6 +204,10 @@ class TestCompleteStrong:
             construct_complete_strong(1, 2)  # K_1 has an isolated vertex
         with pytest.raises(ConstructionError):
             construct_complete_strong(3, 0)
+        # sizes are ints, as in the records: a float or a bool is refused
+        for args in ((3, 2.0), (3.0, 2), (3, True)):
+            with pytest.raises(ConstructionError, match="must be integers"):
+                construct_complete_strong(*args)
 
 
 class TestWeakUniform:

@@ -128,6 +128,9 @@ def test_small_record_reprs():
          "k must be an integer"),
         (lambda: FactorPair(2.0, 3), ConstructionError, "factors must be positive integers"),
         (lambda: FactorPair(1, True), ConstructionError, "factors must be positive integers"),
+        # a plain tuple equals FactorPair(2, 3) but is not one
+        (lambda: ConstructionParams(6, (2, 3)), ConstructionError, "factors must be a FactorPair"),
+        (lambda: ConstructionParams(6, "ab"), ConstructionError, "factors must be a FactorPair"),
     ],
 )
 def test_validated_records_reject_bad_arguments(make, error, message):
