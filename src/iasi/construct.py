@@ -71,6 +71,8 @@ class ConstructionParams(namedtuple("ConstructionParams", "k factors", defaults=
 
 def default_factor_pair(k: int) -> FactorPair:
     """Smallest divisor 1 < m <= sqrt(k), else 1, paired with n = k/m."""
+    if type(k) is not int:  # bool is not a size
+        raise ConstructionError("k must be an integer")
     if k < 1:
         raise ConstructionError("k must be positive")
     m = next((d for d in divisors_of(k) if d > 1 and d * d <= k), 1)
@@ -114,9 +116,8 @@ def construct_bipartite_strong(
 def construct_weak_uniform(g: Graph, bp: Bipartition, k: int) -> Labeling:
     """Weakly k-uniform labeling: the strong construction with k = 1*k,
     singletons on side_x against k-element intervals on side_y."""
-    if k < 1:
-        raise ConstructionError("k must be positive")
-    return construct_bipartite_strong(g, bp, ConstructionParams(k, FactorPair(1, k)))
+    # the record refuses a bad k before FactorPair can misname it a factor
+    return construct_bipartite_strong(g, bp, ConstructionParams(k)._replace(factors=FactorPair(1, k)))
 
 
 def construct_complete_strong(num_vertices: int, l: int) -> Labeling:
@@ -160,6 +161,8 @@ def topological_reduce(g: Graph, f: Labeling, v: int) -> tuple[Graph, Labeling]:
     Vertex ids above v are shifted down by one in both the returned graph
     and labeling.
     """
+    if type(v) is not int:  # bool is not a vertex id
+        raise ReductionError("vertex must be an integer")
     if not (0 <= v < g.vertex_count):
         raise ReductionError(f"vertex {v} out of range")
     if g.degree(v) != 2:

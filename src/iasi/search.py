@@ -16,10 +16,13 @@ k), so along a 2-coloring of each connected component they alternate d and
 k/d, and an odd cycle forces d = sqrt(k).  The lowest-id vertex of each
 component tries every feasible d in ascending order and fixes the size of
 every other vertex in it; a component with no feasible d ends the search
-without trying a label.  One depth-first search counts the labelings, or
-stops at the first; the last vertex counts its passing candidates without
-applying them, as no later vertex reads them.  It keeps an explicit stack
-of generators, so recursion limits do not bound its depth.
+without trying a label.  One function, `_search`, holds the table and the
+depth-first search as locals and serves both public functions: it counts
+the labelings, or stops at the first; the last vertex counts its passing
+candidates without applying them, as no later vertex reads them.  It keeps
+an explicit stack of generators, so recursion limits do not bound its
+depth.  The node count is checked right after each increment, so a search
+cut by its budget has always visited budget + 1 nodes.
 
 A negative answer is always scoped to the universe bound; the search never
 claims nonexistence beyond it.
@@ -92,135 +95,119 @@ class SearchOutcome(NamedTuple):
         return d
 
 
-class _Searcher:
-    """Size table and depth-first search shared by both public functions."""
+def _search(g: Graph, spec: SearchSpec, first: bool) -> tuple[int, list[tuple[int, ...]], int]:
+    """Count the complete labelings in DFS order, stopping at the first
+    with first set; return the count, the labels indexed by vertex, and the
+    nodes visited.  It raises BudgetExceededError at the node that crosses
+    spec.node_budget, so a cut search has always visited budget + 1 nodes."""
+    if not g.edges:
+        raise ValueError("graph has no edges")
+    nv = g.vertex_count
+    k = spec.k
+    budget = spec.node_budget
+    # neighbors with smaller id: the edges checked when a vertex is placed
+    back = [tuple(u for u in g.neighbors(v) if u < v) for v in g.vertices()]
+    # the size table: a component root (its lowest id) tries root_sizes;
+    # any other vertex takes the root's size d on color 0, k // d on 1
+    cap = spec.max_label_size
+    if spec.target == "any-strong":
+        root = list(g.vertices())
+        color = [0] * nv
+        root_sizes = [range(1, cap + 1)] * nv
+    else:
+        color, root, odd_roots = _two_coloring(g)
+        # past cap**2 no size d <= cap has k // d <= cap: k is not factored
+        strong = spec.target == "strong" and k <= cap * cap
+        base = divisors_of(k) if strong else sorted({1, k})
+        sizes = [d for d in base if d <= cap and k // d <= cap]
+        square = [d for d in sizes if d * d == k]
+        root_sizes = [square if v in odd_roots else sizes for v in g.vertices()]
+    # The size table already makes a strong edge's label reach k (strong
+    # sizes multiply to k; weak sizes pair a singleton, always strong,
+    # with a k-set), so what is left to check is strength,
+    # |A + B| = |A|·|B|, and distinct labels.  An edge label's key is the
+    # bitmask of its sums less their minimum, paired with the minimum.
+    labels: list[tuple[int, ...]] = [()] * nv
+    used_labels: set[tuple[int, ...]] = set()
+    edge_keys: set[tuple[int, int]] = set()
+    nodes = found = 0
 
-    def __init__(self, g: Graph, spec: SearchSpec):
-        if not g.edges:
-            raise ValueError("graph has no edges")
-        self.g = g
-        self.spec = spec
-        self.nodes = 0
-        # neighbors with smaller id: the edges checked when a vertex is placed
-        self.back = [
-            tuple(u for u in g.neighbors(v) if u < v) for v in g.vertices()
-        ]
-        # the size table: a component root (its lowest id) tries root_sizes;
-        # any other vertex takes the root's size d on color 0, k // d on 1
-        cap = spec.max_label_size
-        if spec.target == "any-strong":
-            self.root = list(g.vertices())
-            self.color = [0] * g.vertex_count
-            self.root_sizes = [range(1, cap + 1)] * g.vertex_count
+    def place(v: int):
+        """For each candidate label of v that passes every check against
+        the vertices before it: apply it, yield True, and undo it when
+        resumed.  The last vertex counts it instead (with first set, it
+        keeps the first and returns)."""
+        nonlocal nodes, found
+        r = root[v]
+        if r == v:
+            sizes = root_sizes[v]
         else:
-            k = spec.k
-            self.color, self.root, odd_roots = _two_coloring(g)
-            # past cap**2 no size d <= cap has k // d <= cap: k is not factored
-            strong = spec.target == "strong" and k <= cap * cap
-            base = divisors_of(k) if strong else sorted({1, k})
-            sizes = [d for d in base if d <= cap and k // d <= cap]
-            square = [d for d in sizes if d * d == k]
-            self.root_sizes = [
-                square if v in odd_roots else sizes for v in g.vertices()
-            ]
-
-    def run(self, first: bool) -> tuple[int, list[tuple[int, ...]]]:
-        """Count the complete labelings in DFS order, stopping at the first
-        with first set; return the count and the labels, indexed by vertex."""
-        spec = self.spec
-        nv = self.g.vertex_count
-        k = spec.k
-        budget = spec.node_budget
-        # The size table already makes a strong edge's label reach k (strong
-        # sizes multiply to k; weak sizes pair a singleton, always strong,
-        # with a k-set), so what is left to check is strength,
-        # |A + B| = |A|·|B|, and distinct labels.  An edge label's key is the
-        # bitmask of its sums less their minimum, paired with the minimum.
-        labels: list[tuple[int, ...]] = [()] * nv
-        used_labels: set[tuple[int, ...]] = set()
-        edge_keys: set[tuple[int, int]] = set()
-        nodes = found = 0
-
-        def place(v: int):
-            """For each candidate label of v that passes every check against
-            the vertices before it: apply it, yield True, and undo it when
-            resumed.  The last vertex counts it instead (with first set, it
-            keeps the first and returns)."""
-            nonlocal nodes, found
-            r = self.root[v]
-            if r == v:
-                sizes = self.root_sizes[v]
-            else:
-                d = len(labels[r])
-                sizes = (k // d if self.color[v] else d,)
-            back = self.back[v]
-            last = v == nv - 1
-            for s in sizes:
-                for cand in combinations(universe, s):
-                    nodes += 1
-                    if nodes > budget:
-                        raise BudgetExceededError(f"node budget {budget} exceeded")
-                    if cand in used_labels:
-                        continue
-                    lo = cand[0]
-                    cmask = 0
-                    for b in cand:
-                        cmask |= 1 << (b - lo)
-                    new_keys = []
-                    for u in back:
-                        ulabel = labels[u]
-                        a0 = ulabel[0]
-                        mask = 0
-                        for a in ulabel:
-                            mask |= cmask << (a - a0)
-                        if mask.bit_count() != len(ulabel) * s:
-                            break
-                        key = (mask, a0 + lo)
-                        if key in edge_keys or key in new_keys:
-                            break
-                        new_keys.append(key)
-                    else:
-                        if last:
-                            found += 1
-                            if first:
-                                labels[v] = cand
-                                return
-                            continue
-                        labels[v] = cand
-                        used_labels.add(cand)
-                        edge_keys.update(new_keys)
-                        yield True
-                        edge_keys.difference_update(new_keys)
-                        used_labels.remove(cand)
-
-        if not all(self.root_sizes[r] for r in set(self.root)):
-            return 0, labels  # some component has no feasible size
-        # shared by every place(): combinations() copies any non-tuple input
-        universe = tuple(range(spec.universe_max + 1))
-        stack = [place(0)]
-        try:
-            while stack and not (first and found):
-                if next(stack[-1], False):
-                    stack.append(place(len(stack)))
+            d = len(labels[r])
+            sizes = (k // d if color[v] else d,)
+        back_v = back[v]
+        last = v == nv - 1
+        for s in sizes:
+            for cand in combinations(universe, s):
+                nodes += 1
+                if nodes > budget:
+                    raise BudgetExceededError(f"node budget {budget} exceeded")
+                if cand in used_labels:
+                    continue
+                lo = cand[0]
+                cmask = 0
+                for b in cand:
+                    cmask |= 1 << (b - lo)
+                new_keys = []
+                for u in back_v:
+                    ulabel = labels[u]
+                    a0 = ulabel[0]
+                    mask = 0
+                    for a in ulabel:
+                        mask |= cmask << (a - a0)
+                    if mask.bit_count() != len(ulabel) * s:
+                        break
+                    key = (mask, a0 + lo)
+                    if key in edge_keys or key in new_keys:
+                        break
+                    new_keys.append(key)
                 else:
-                    stack.pop()
-        finally:
-            self.nodes = nodes
-        return found, labels
+                    if last:
+                        found += 1
+                        if first:
+                            labels[v] = cand
+                            return
+                        continue
+                    labels[v] = cand
+                    used_labels.add(cand)
+                    edge_keys.update(new_keys)
+                    yield True
+                    edge_keys.difference_update(new_keys)
+                    used_labels.remove(cand)
+
+    if not all(root_sizes[r] for r in set(root)):
+        return 0, labels, 0  # some component has no feasible size
+    # shared by every place(): combinations() copies any non-tuple input
+    universe = tuple(range(spec.universe_max + 1))
+    stack = [place(0)]
+    while stack and not (first and found):
+        if next(stack[-1], False):
+            stack.append(place(len(stack)))
+        else:
+            stack.pop()
+    return found, labels, nodes
 
 
 def brute_force_search(g: Graph, spec: SearchSpec) -> SearchOutcome:
     """Find the first labeling meeting the target, or certify that none
     exists within the universe bound."""
-    searcher = _Searcher(g, spec)
     try:
-        found, labels = searcher.run(first=True)
+        found, labels, nodes = _search(g, spec, first=True)
     except BudgetExceededError:
-        return SearchOutcome("budget-exceeded", None, searcher.nodes)
+        return SearchOutcome("budget-exceeded", None, spec.node_budget + 1)
     if not found:
-        return SearchOutcome("exhausted-none", None, searcher.nodes)
+        return SearchOutcome("exhausted-none", None, nodes)
     witness = Labeling({v: SetLabel(c) for v, c in enumerate(labels)})
-    return SearchOutcome("found", witness, searcher.nodes)
+    return SearchOutcome("found", witness, nodes)
 
 
 def count_labelings(g: Graph, spec: SearchSpec) -> int:
@@ -229,4 +216,4 @@ def count_labelings(g: Graph, spec: SearchSpec) -> int:
     Counts whole labelings, not equivalence classes; intended for tiny
     instances.
     """
-    return _Searcher(g, spec).run(first=False)[0]
+    return _search(g, spec, first=False)[0]

@@ -65,7 +65,7 @@ class SetLabel:
 
     def shift(self, t: int) -> "SetLabel":
         """Translate every element by an integer t >= 0."""
-        if not isinstance(t, int) or t < 0:
+        if type(t) is not int or t < 0:  # bool is not a shift
             raise ValueError("shift must be a non-negative integer")
         return _from_sorted(tuple(e + t for e in self.elements))
 

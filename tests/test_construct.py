@@ -112,6 +112,16 @@ class TestBipartiteStrong:
         with pytest.raises(ConstructionError, match="k must be positive"):
             default_factor_pair(0)
 
+    @pytest.mark.parametrize("k", ["3", None, 2.0, True])
+    def test_rejects_k_that_is_not_an_int(self, k):
+        # not a TypeError, nor "factors must be positive integers" for a
+        # FactorPair the caller never gave
+        g = path_graph(2)
+        with pytest.raises(ConstructionError, match="^k must be an integer$"):
+            construct_weak_uniform(g, bipartition_of(g), k)
+        with pytest.raises(ConstructionError, match="^k must be an integer$"):
+            default_factor_pair(k)
+
     def test_huge_k_fails_the_element_bound_unfactored(self, monkeypatch):
         # the default pair's n >= sqrt(k) > MAX_ELEMENTS, so the bound fails
         # before divisors_of, whose trial division would not return
@@ -341,6 +351,9 @@ class TestTopologicalReduce:
             topological_reduce(g, f, 0)
         for v in (-1, 4):
             with pytest.raises(ReductionError, match=f"vertex {v} out of range"):
+                topological_reduce(g, f, v)
+        for v in (True, 1.0, "1", None):
+            with pytest.raises(ReductionError, match="^vertex must be an integer$"):
                 topological_reduce(g, f, v)
 
     def test_adjacent_neighbors_rejected(self):

@@ -132,6 +132,20 @@ class TestBruteForceSearch:
         assert out.status == "budget-exceeded"
         assert out.witness is None
         assert out.nodes_visited == 6  # stops right after crossing the cap
+        # K_5 has no labeling by singletons of {0..5}, and its whole tree is
+        # 2,094 nodes on each target, so every budget below cuts it; the cut
+        # always comes right after the node that crosses the budget
+        g = complete_graph(5)
+        assert brute_force_search(g, SearchSpec(5, 1, "any-strong")).nodes_visited == 2094
+        for target, k in (("strong", 1), ("weak", 1), ("any-strong", None)):
+            for budget in (1, 5, 777):
+                spec = SearchSpec(5, 1, target, k, node_budget=budget)
+                out = brute_force_search(g, spec)
+                assert (out.status, out.witness, out.nodes_visited) == (
+                    "budget-exceeded", None, budget + 1
+                )
+                with pytest.raises(BudgetExceededError, match=f"^node budget {budget} exceeded$"):
+                    count_labelings(g, spec)
 
     def test_full_tree_exhausted_none_node_count(self):
         # K_{2,2}, k = 9, at most 6 elements: every label has 3 elements, and

@@ -105,7 +105,7 @@ class TestArithmeticResults:
                 assert type(got.elements) is tuple
 
     def test_shift_rejects_bad_amounts(self):
-        for t in (-1, 0.5):
+        for t in (-1, 0.5, True, 1.0, "1", None):
             with pytest.raises(ValueError):
                 SetLabel([0, 1]).shift(t)
 
