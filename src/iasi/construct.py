@@ -171,8 +171,8 @@ def topological_reduce(g: Graph, f: Labeling, v: int) -> tuple[Graph, Labeling]:
     if g.has_edge(u, w):
         raise ReductionError(f"neighbors {u} and {w} are adjacent; reduction undefined")
     # one pass over the old edges and then the new one: the old edges must
-    # be strong and carry distinct labels, the new one must be strong, and
-    # the only old edge with its label may be one at v, which disappears
+    # be strong with distinct labels, and the new one strong with a label no
+    # old edge carries (an edge at v cannot: strong sums cancel, see setlabel)
     new = len(g.edges)
     _, _, not_strong, firsts = _edge_pass(g, f, (*g.edges, (u, w)))
     if not_strong and not_strong[0] != new:
@@ -194,7 +194,7 @@ def topological_reduce(g: Graph, f: Labeling, v: int) -> tuple[Graph, Labeling]:
             f"difference sets of {u} and {w} share {_id_summary(shared, len(shared))}",
             shared_differences=tuple(shared),
         )
-    if new in firsts and v not in firsts[new][0]:
+    if new in firsts:
         a, b = firsts[new][0]
         raise ReductionError(
             f"new edge {u}-{w} would duplicate the label of edge {a}-{b}"

@@ -126,7 +126,8 @@ def _search(g: Graph, spec: SearchSpec, first: bool) -> tuple[int, list[tuple[in
     # sizes multiply to k; weak sizes pair a singleton, always strong,
     # with a k-set), so what is left to check is strength,
     # |A + B| = |A|·|B|, and distinct labels.  An edge label's key is the
-    # bitmask of its sums less their minimum, paired with the minimum.
+    # bitmask of its sums less their minimum, paired with the minimum.  Two
+    # back-edges of one vertex never share a key: strong sums cancel (setlabel).
     labels: list[tuple[int, ...]] = [()] * nv
     used_labels: set[tuple[int, ...]] = set()
     edge_keys: set[tuple[int, int]] = set()
@@ -167,7 +168,7 @@ def _search(g: Graph, spec: SearchSpec, first: bool) -> tuple[int, list[tuple[in
                     if mask.bit_count() != len(ulabel) * s:
                         break
                     key = (mask, a0 + lo)
-                    if key in edge_keys or key in new_keys:
+                    if key in edge_keys:
                         break
                     new_keys.append(key)
                 else:

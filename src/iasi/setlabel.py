@@ -3,10 +3,16 @@
 Vertex labels are finite nonempty sets of non-negative integers.  The two
 operations everything else is built on are the sumset A + B (all pairwise
 sums) and the difference set D_A (all positive differences between distinct
-elements).  The sumset of two sets is as large as possible, |A + B| = |A||B|,
-exactly when their difference sets are disjoint.  Verification leans on
-that: it takes the size of a strong edge label from the difference sets and
-builds a sumset only where the size or the label itself is in question.
+elements).  The sumset of two sets is full, |A + B| = |A||B| as large as
+possible, exactly when their difference sets are disjoint.  Verification
+takes the size of a strong edge label from the difference sets and builds
+a sumset only where the size or the label itself is in question.
+
+Such full sumsets cancel: if A + B and A + C are full and equal, B = C.
+With P_X(x) the sum of x^e over e in X, a full A + B has each sum once, so
+its polynomial is P_A·P_B; P_A·P_B = P_A·P_C and Z[x] has no zero divisors,
+so P_B = P_C.  Strong edges at one vertex share a label only if their other
+ends do, so the search and the degree-2 reduction never test for that.
 """
 
 from __future__ import annotations

@@ -11,6 +11,7 @@ from __future__ import annotations
 import json
 import math
 from collections import Counter
+from types import MappingProxyType
 from typing import Mapping, NamedTuple
 
 from .graphs import (
@@ -24,13 +25,13 @@ class LabelingError(ValueError):
 
 
 class Labeling:
-    """Total assignment of a SetLabel to every vertex id of some graph."""
+    """Total, read-only assignment of a SetLabel to every vertex id of some graph."""
 
     __slots__ = ("assignment",)
 
     def __init__(self, assignment: Mapping[int, SetLabel]):
         object.__setattr__(
-            self, "assignment", dict(sorted(assignment.items()))
+            self, "assignment", MappingProxyType(dict(sorted(assignment.items())))
         )
 
     def __setattr__(self, name, value):
@@ -48,7 +49,7 @@ class Labeling:
         return self.assignment == other.assignment
 
     def __repr__(self) -> str:
-        return f"Labeling({self.assignment!r})"
+        return f"Labeling({self.assignment.copy()!r})"
 
     def vertices(self) -> list[int]:
         return list(self.assignment)
@@ -294,8 +295,8 @@ def check_strong_criterion(g: Graph, f: Labeling) -> bool:
 
 def divisors_of(k: int) -> list[int]:
     """Ascending divisors of k >= 1, by trial division up to sqrt(k)."""
-    if k < 1:
-        raise ValueError("k must be positive")
+    if type(k) is not int or k < 1:  # bool is not a size
+        raise ValueError("k must be a positive integer")
     small, large = [], []
     d = 1
     while d * d <= k:

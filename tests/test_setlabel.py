@@ -165,6 +165,18 @@ class TestMaximality:
                 full = len(sumset(a, b)) == len(a) * len(b)
                 assert full == is_sumset_maximal(a, b), (a, b)
 
+    def test_full_sumsets_cancel_exhaustively(self):
+        # A + B = A + C with both sums full forces B = C, the law the search
+        # and the reduction rely on, over every pair of subsets of {0..8}
+        # with at most 3 elements
+        sets = [SetLabel(e) for e in small_sets(8, 3)]
+        for a in sets:
+            first_with_sum: dict[SetLabel, SetLabel] = {}
+            for b in sets:
+                if is_sumset_maximal(a, b):
+                    c = first_with_sum.setdefault(sumset(a, b), b)
+                    assert c == b, (a, b, c)
+
 
 def test_size_bounds_exhaustive_and_random():
     sets = [SetLabel(e) for e in small_sets(6, 3)]

@@ -324,8 +324,9 @@ class TestDivisors:
         assert divisors_of(36) == [1, 2, 3, 4, 6, 9, 12, 18, 36]
 
     def test_rejects_nonpositive(self):
-        with pytest.raises(ValueError):
-            divisors_of(0)
+        for k in (0, -3, 2.0, True, "6", None):
+            with pytest.raises(ValueError, match="k must be a positive integer"):
+                divisors_of(k)
 
 
 class TestAnalyze:
@@ -381,6 +382,13 @@ class TestLabelingObject:
             f.assignment = {}
         with pytest.raises(AttributeError, match="Labeling is immutable"):
             f.extra = 1
+        # the mapping is read-only too: reinserting a popped vertex would
+        # move it to the end and reorder every pass over the labels
+        with pytest.raises(TypeError):
+            f.assignment[0] = SetLabel([1])
+        with pytest.raises(AttributeError):
+            f.assignment.pop(0)
+        assert f == labeling({0: [0]}) and repr(f) == "Labeling({0: SetLabel([0])})"
 
     def test_not_equal_to_a_foreign_type(self):
         f = labeling({0: [0, 1]})
