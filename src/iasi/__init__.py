@@ -34,13 +34,12 @@ from .verify import (
 from .construct import (
     ConstructionError,
     ConstructionParams,
-    FactorPair,
     ReductionError,
     construct_bipartite_strong,
     construct_complete_strong,
     construct_weak_uniform,
     topological_reduce,
-    default_factor_pair,
+    default_factor,
 )
 from .search import (
     SearchSpec,

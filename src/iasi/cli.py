@@ -18,7 +18,6 @@ from . import __version__
 from .construct import (
     ConstructionError,
     ConstructionParams,
-    FactorPair,
     construct_bipartite_strong,
     construct_complete_strong,
     construct_weak_uniform,
@@ -92,7 +91,8 @@ def _check_k(k: int) -> int:
     return k
 
 
-def _parse_factors(text: str) -> FactorPair:
+def _parse_factors(text: str, k: int) -> int:
+    """m of an m,n option with m*n = k."""
     parts = text.split(",")
     if len(parts) != 2:
         raise ConstructionError("--factors expects m,n")
@@ -100,7 +100,11 @@ def _parse_factors(text: str) -> FactorPair:
         m, n = _parse_id(parts[0]), _parse_id(parts[1])
     except ValueError:
         raise ConstructionError("--factors expects two integers") from None
-    return FactorPair(m, n)
+    if m < 1 or n < 1:
+        raise ConstructionError("factors must be positive integers")
+    if m * n != k:
+        raise ConstructionError(f"factors {m}*{n} != k={k}")
+    return m
 
 
 def cmd_verify(args) -> dict:
@@ -126,8 +130,8 @@ def cmd_construct(args) -> dict:
         raise ConstructionError("graph is not bipartite")
     k = _check_k(args.k)
     if args.mode == "strong":
-        factors = None if args.factors is None else _parse_factors(args.factors)
-        f = construct_bipartite_strong(g, bp, ConstructionParams(k, factors))
+        m = None if args.factors is None else _parse_factors(args.factors, k)
+        f = construct_bipartite_strong(g, bp, ConstructionParams(k, m))
     else:
         f = construct_weak_uniform(g, bp, k)
     return f.as_dict()

@@ -34,49 +34,29 @@ class ReductionError(ValueError):
         self.shared_differences = shared_differences
 
 
-class FactorPair(namedtuple("FactorPair", "m n")):
-    """Positive factors of k = m*n."""
+class ConstructionParams(namedtuple("ConstructionParams", "k m", defaults=(None,))):
+    """Inputs for the bipartite construction: target edge size k and an
+    optional positive divisor m of k, the size of the side_x labels."""
 
     __slots__ = ()
     _make = classmethod(lambda cls, fields: cls(*fields))  # so that _replace validates too
 
     def __new__(cls, *args, **kwargs):
         self = super().__new__(cls, *args, **kwargs)
-        if not all(type(x) is int and x >= 1 for x in self):  # bool is not a factor
-            raise ConstructionError("factors must be positive integers")
-        return self
-
-
-class ConstructionParams(namedtuple("ConstructionParams", "k factors", defaults=(None,))):
-    """Inputs for the bipartite construction: target edge size k and an
-    optional FactorPair with k = m*n."""
-
-    __slots__ = ()
-    _make = classmethod(lambda cls, fields: cls(*fields))
-
-    def __new__(cls, *args, **kwargs):
-        self = super().__new__(cls, *args, **kwargs)
-        if type(self.k) is not int:
+        k, m = self
+        if type(k) is not int:
             raise ConstructionError("k must be an integer")
-        if self.k < 1:
+        if k < 1:
             raise ConstructionError("k must be positive")
-        if self.factors is not None and not isinstance(self.factors, FactorPair):
-            raise ConstructionError("factors must be a FactorPair")
-        if self.factors is not None and self.factors.m * self.factors.n != self.k:
-            raise ConstructionError(
-                f"factors {self.factors.m}*{self.factors.n} != k={self.k}"
-            )
+        if m is not None and not (type(m) is int and m >= 1 and k % m == 0):  # bool is not a divisor
+            raise ConstructionError(f"m must be a positive divisor of k={k}")
         return self
 
 
-def default_factor_pair(k: int) -> FactorPair:
-    """Smallest divisor 1 < m <= sqrt(k), else 1, paired with n = k/m."""
-    if type(k) is not int:  # bool is not a size
-        raise ConstructionError("k must be an integer")
-    if k < 1:
-        raise ConstructionError("k must be positive")
-    m = next((d for d in divisors_of(k) if d > 1 and d * d <= k), 1)
-    return FactorPair(m, k // m)
+def default_factor(k: int) -> int:
+    """Smallest divisor 1 < m <= sqrt(k), else 1."""
+    k = ConstructionParams(k).k  # the record's checks and messages
+    return next((d for d in divisors_of(k) if d > 1 and d * d <= k), 1)
 
 
 def construct_bipartite_strong(
@@ -84,40 +64,34 @@ def construct_bipartite_strong(
 ) -> Labeling:
     """Strongly k-uniform labeling of a bipartite graph, any k >= 1.
 
-    With k = m*n, the x-th vertex of side_x gets the m consecutive integers
-    starting at x*S, and the y-th vertex of side_y gets the n-term
-    progression {y, y+m, ..., y+(n-1)m}.  Differences on the two sides
-    (below m versus multiples of m) never collide, so every edge label has
-    the full size m*n, and the stride S keeps all vertex labels and all
-    edge labels pairwise distinct.
+    With n = k/m, the x-th vertex of side_x, counting x from 1, gets the
+    interval {x*|Y| + t : t < m}, and the y-th vertex of side_y, counting
+    y from 0, gets the progression {y + s*m : s < n}.  The sums t + s*m are
+    the k distinct integers below k, so edge (x, y) is labeled by the k
+    consecutive integers from x*|Y| + y: full, hence strong, and since
+    y < |Y| its least element gives back (x, y).  Side_x minima are at
+    least |Y| and side_y minima below it, so the vertex labels are distinct
+    too.  Every element is below (|X| + 1)*|Y| + k.
     """
     if not is_valid_bipartition(g, bp):
         raise ConstructionError("bipartition is not valid for the graph")
     # the default n = k/m is at least sqrt(k), and side_y is nonempty, so
-    # past MAX_ELEMENTS**2 the bound below fails: (1, k) fails it unfactored
-    k = params.k
-    pair = params.factors or (default_factor_pair(k) if k <= MAX_ELEMENTS**2 else FactorPair(1, k))
-    m, n = pair.m, pair.n
-    if m * len(bp.side_x) + n * len(bp.side_y) > MAX_ELEMENTS:
+    # past MAX_ELEMENTS**2 the bound below fails: m = 1 fails it unfactored
+    k, m = params
+    if m is None:
+        m = default_factor(k) if k <= MAX_ELEMENTS**2 else 1
+    xs, ys = sorted(bp.side_x), sorted(bp.side_y)
+    if m * len(xs) + k // m * len(ys) > MAX_ELEMENTS:
         raise ConstructionError(f"the labels would hold more than {MAX_ELEMENTS} elements")
-    ys = sorted(bp.side_y)
-    stride = m + n * m * len(ys)
-    # m = n = 1 makes the x=0 and y=0 labels both {0}; shifting the
-    # singleton side one stride up restores injectivity.
-    base = stride if m == 1 and n == 1 else 0
-    assignment: dict[int, SetLabel] = {}
-    for x, u in enumerate(sorted(bp.side_x)):
-        assignment[u] = SetLabel(base + x * stride + t for t in range(m))
-    for y, v in enumerate(ys):
-        assignment[v] = SetLabel(y + s * m for s in range(n))
+    assignment = {u: SetLabel(range(x * len(ys), x * len(ys) + m)) for x, u in enumerate(xs, 1)}
+    assignment.update((v, SetLabel(range(y, y + k, m))) for y, v in enumerate(ys))
     return Labeling(assignment)
 
 
 def construct_weak_uniform(g: Graph, bp: Bipartition, k: int) -> Labeling:
-    """Weakly k-uniform labeling: the strong construction with k = 1*k,
+    """Weakly k-uniform labeling: the strong construction with m = 1,
     singletons on side_x against k-element intervals on side_y."""
-    # the record refuses a bad k before FactorPair can misname it a factor
-    return construct_bipartite_strong(g, bp, ConstructionParams(k)._replace(factors=FactorPair(1, k)))
+    return construct_bipartite_strong(g, bp, ConstructionParams(k, 1))
 
 
 def construct_complete_strong(num_vertices: int, l: int) -> Labeling:

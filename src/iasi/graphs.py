@@ -26,8 +26,13 @@ class Graph:
     __slots__ = ("vertex_count", "edges", "_adj")
 
     def __init__(self, vertex_count: int, edges: Iterable[Edge]):
+        if type(vertex_count) is not int or vertex_count < 0:  # bool is not a count
+            raise GraphFormatError("vertex count must be a non-negative integer")
         norm: set[Edge] = set()
         for u, v in edges:
+            if type(u) is not int or type(v) is not int:  # bool is not an id
+                bad = v if type(u) is int else u
+                raise GraphFormatError(f"vertex ids must be integers, not {type(bad).__name__}")
             if u == v:
                 raise GraphFormatError(f"self-loop at vertex {u}")
             if not (0 <= u < vertex_count and 0 <= v < vertex_count):

@@ -353,6 +353,8 @@ def analyze_divisor_partition(g: Graph, f: Labeling, k: int) -> PartitionReport:
     for non-square k at most n/2 bipartite components; for square k at most
     (n+1)/2 components of which at most (n-1)/2 are bipartite pairs.
     """
+    if type(k) is not int or k < 1:  # bool is not a size
+        raise ValueError("k must be a positive integer")
     size, sizes, not_strong, _ = _edge_pass(g, f, g.edges)
     if not_strong:
         raise ValueError(

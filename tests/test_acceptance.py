@@ -14,7 +14,6 @@ import pytest
 
 from iasi import (
     ConstructionParams,
-    FactorPair,
     Graph,
     Labeling,
     ReductionError,
@@ -107,13 +106,12 @@ def test_criterion_03_bipartite_graphs_strongly_uniform_for_every_k():
     ] + [random_bipartite_graph(rng) for _ in range(5)]
     checked = 0
     for k in range(1, 13):
-        pairs = [FactorPair(m, k // m) for m in divisors_of(k)]
         for g in suite:
             bp = bipartition_of(g)
-            for pair in pairs:
-                f = construct_bipartite_strong(g, bp, ConstructionParams(k, pair))
+            for m in divisors_of(k):
+                f = construct_bipartite_strong(g, bp, ConstructionParams(k, m))
                 r = verify(g, f)
-                assert r.is_iasi and r.is_strong and r.uniform_k == k, (k, pair)
+                assert r.is_iasi and r.is_strong and r.uniform_k == k, (k, m)
                 checked += 1
     elapsed = time.perf_counter() - t0
     assert elapsed < 30.0
@@ -216,14 +214,14 @@ def test_criterion_08_prime_and_composite_k():
     for p in (2, 3, 5, 7):
         for g in (path_graph(3), complete_bipartite_graph(2, 3)):
             bp = bipartition_of(g)
-            f = construct_bipartite_strong(g, bp, ConstructionParams(p, FactorPair(1, p)))
+            f = construct_bipartite_strong(g, bp, ConstructionParams(p, 1))
             r = verify(g, f)
             assert r.is_iasi and r.is_strong and r.uniform_k == p
             assert check_weak_characterization(g, f)
     g = path_graph(3)
     bp = bipartition_of(g)
     weak = construct_weak_uniform(g, bp, 4)
-    strong = construct_bipartite_strong(g, bp, ConstructionParams(4, FactorPair(2, 2)))
+    strong = construct_bipartite_strong(g, bp, ConstructionParams(4, 2))
     assert verify(g, weak).is_weak and verify(g, weak).uniform_k == 4
     assert verify(g, strong).is_strong and verify(g, strong).uniform_k == 4
     weak_sizes = Counter(len(weak[v]) for v in range(3))
@@ -266,7 +264,7 @@ def test_criterion_10_divisor_partition_bounds():
 
     g2 = Graph(4, [(0, 1), (2, 3)])
     bp = bipartition_of(g2)
-    f2 = construct_bipartite_strong(g2, bp, ConstructionParams(6, FactorPair(2, 3)))
+    f2 = construct_bipartite_strong(g2, bp, ConstructionParams(6, 2))
     rep2 = analyze_divisor_partition(g2, f2, 6)
     assert rep2.bipartite_bound_satisfied and not rep2.clique_component_present
 

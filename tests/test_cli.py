@@ -64,16 +64,16 @@ def assert_one_line_error(code, out, err):
 K33_STRONG6 = """\
 {
   "0": [
-    0,
-    1
+    3,
+    4
   ],
   "1": [
-    20,
-    21
+    6,
+    7
   ],
   "2": [
-    40,
-    41
+    9,
+    10
   ],
   "3": [
     0,

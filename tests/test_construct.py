@@ -10,7 +10,6 @@ import pytest
 from iasi import (
     ConstructionError,
     ConstructionParams,
-    FactorPair,
     Graph,
     Labeling,
     ReductionError,
@@ -24,7 +23,7 @@ from iasi import (
     construct_complete_strong,
     construct_weak_uniform,
     cycle_graph,
-    default_factor_pair,
+    default_factor,
     difference_set,
     divisors_of,
     path_graph,
@@ -50,37 +49,27 @@ def bipartite_suite():
     return graphs
 
 
-def factor_pairs(k):
-    return [FactorPair(m, k // m) for m in divisors_of(k)]
-
-
 class TestBipartiteStrong:
     def test_p2_k4(self):
         g = path_graph(2)
-        f = construct_bipartite_strong(
-            g, bipartition_of(g), ConstructionParams(4, FactorPair(2, 2))
-        )
-        assert f[0] == SetLabel([0, 1])
+        f = construct_bipartite_strong(g, bipartition_of(g), ConstructionParams(4, 2))
+        assert f[0] == SetLabel([1, 2])
         assert f[1] == SetLabel([0, 2])
-        assert sumset(f[0], f[1]) == SetLabel([0, 1, 2, 3])
+        assert sumset(f[0], f[1]) == SetLabel([1, 2, 3, 4])
 
     def test_star_k4(self):
         g = Graph(3, [(0, 1), (0, 2)])
-        f = construct_bipartite_strong(
-            g, bipartition_of(g), ConstructionParams(4, FactorPair(2, 2))
-        )
-        assert f[0] == SetLabel([0, 1])
+        f = construct_bipartite_strong(g, bipartition_of(g), ConstructionParams(4, 2))
+        assert f[0] == SetLabel([2, 3])
         assert f[1] == SetLabel([0, 2])
         assert f[2] == SetLabel([1, 3])
-        assert sumset(f[0], f[1]) == SetLabel([0, 1, 2, 3])
-        assert sumset(f[0], f[2]) == SetLabel([1, 2, 3, 4])
+        assert sumset(f[0], f[1]) == SetLabel([2, 3, 4, 5])
+        assert sumset(f[0], f[2]) == SetLabel([3, 4, 5, 6])
 
     @pytest.mark.parametrize("p", [2, 3, 5, 7])
     def test_prime_k_is_also_weak(self, p):
         g = complete_bipartite_graph(2, 3)
-        f = construct_bipartite_strong(
-            g, bipartition_of(g), ConstructionParams(p, FactorPair(1, p))
-        )
+        f = construct_bipartite_strong(g, bipartition_of(g), ConstructionParams(p, 1))
         r = verify(g, f)
         assert r.is_iasi and r.is_strong and r.uniform_k == p
         assert check_weak_characterization(g, f)
@@ -90,12 +79,29 @@ class TestBipartiteStrong:
     def test_every_k_and_factorization_on_the_suite(self, k):
         for g in bipartite_suite():
             bp = bipartition_of(g)
-            for pair in factor_pairs(k):
-                f = construct_bipartite_strong(g, bp, ConstructionParams(k, pair))
+            for m in divisors_of(k):
+                f = construct_bipartite_strong(g, bp, ConstructionParams(k, m))
                 r = verify(g, f)
-                assert r.is_iasi, (k, pair, g)
-                assert r.is_strong, (k, pair, g)
-                assert r.uniform_k == k, (k, pair, g)
+                assert r.is_iasi, (k, m, g)
+                assert r.is_strong, (k, m, g)
+                assert r.uniform_k == k, (k, m, g)
+
+    def test_every_edge_label_is_an_interval(self):
+        # edge (x, y), x counted from 1 in sorted side_x and y from 0 in
+        # sorted side_y, is labeled by the k integers from x*|Y| + y
+        for g in bipartite_suite():
+            bp = bipartition_of(g)
+            xs = {u: x for x, u in enumerate(sorted(bp.side_x), 1)}
+            ys = {v: y for y, v in enumerate(sorted(bp.side_y))}
+            for k in range(1, 25):
+                for m in divisors_of(k):
+                    f = construct_bipartite_strong(g, bp, ConstructionParams(k, m))
+                    for a, b in g.edges:
+                        u, v = (a, b) if a in xs else (b, a)
+                        start = xs[u] * len(ys) + ys[v]
+                        assert sumset(f[u], f[v]) == SetLabel(range(start, start + k)), (k, m, g)
+                    top = max(e for v in g.vertices() for e in f[v])
+                    assert top < (len(xs) + 1) * len(ys) + k, (k, m, g)
 
     def test_rejects_invalid_bipartition(self):
         g = path_graph(3)
@@ -110,20 +116,19 @@ class TestBipartiteStrong:
         with pytest.raises(ConstructionError, match="k must be positive"):
             construct_weak_uniform(g, bipartition_of(g), 0)
         with pytest.raises(ConstructionError, match="k must be positive"):
-            default_factor_pair(0)
+            default_factor(0)
 
     @pytest.mark.parametrize("k", ["3", None, 2.0, True])
     def test_rejects_k_that_is_not_an_int(self, k):
-        # not a TypeError, nor "factors must be positive integers" for a
-        # FactorPair the caller never gave
+        # not a TypeError, nor the m message for an m the caller never gave
         g = path_graph(2)
         with pytest.raises(ConstructionError, match="^k must be an integer$"):
             construct_weak_uniform(g, bipartition_of(g), k)
         with pytest.raises(ConstructionError, match="^k must be an integer$"):
-            default_factor_pair(k)
+            default_factor(k)
 
     def test_huge_k_fails_the_element_bound_unfactored(self, monkeypatch):
-        # the default pair's n >= sqrt(k) > MAX_ELEMENTS, so the bound fails
+        # the default n = k/m >= sqrt(k) > MAX_ELEMENTS, so the bound fails
         # before divisors_of, whose trial division would not return
         def refuse(k):
             raise AssertionError(f"divisors_of({k}) called")
@@ -134,10 +139,10 @@ class TestBipartiteStrong:
             construct_bipartite_strong(g, bipartition_of(g), ConstructionParams(10**30))
 
     def test_rejects_mismatched_factors(self):
-        with pytest.raises(ConstructionError):
-            ConstructionParams(6, FactorPair(2, 2))
-        with pytest.raises(ConstructionError, match="factors must be positive"):
-            FactorPair(0, 1)
+        with pytest.raises(ConstructionError, match="^m must be a positive divisor of k=6$"):
+            ConstructionParams(6, 4)
+        with pytest.raises(ConstructionError, match="^m must be a positive divisor of k=6$"):
+            ConstructionParams(6, 0)
 
     def test_deterministic(self):
         g = complete_bipartite_graph(3, 3)
@@ -147,13 +152,13 @@ class TestBipartiteStrong:
         assert a == b and a.to_json() == b.to_json()
 
 
-class TestDefaultFactorPair:
+class TestDefaultFactor:
     def test_prime(self):
-        assert default_factor_pair(7) == FactorPair(1, 7)
+        assert default_factor(7) == 1
 
     def test_composite_prefers_smallest_nontrivial_divisor(self):
-        assert default_factor_pair(12) == FactorPair(2, 6)
-        assert default_factor_pair(9) == FactorPair(3, 3)
+        assert default_factor(12) == 2
+        assert default_factor(9) == 3
 
 
 class TestCompleteStrong:
@@ -224,9 +229,9 @@ class TestWeakUniform:
     def test_p2_k3(self):
         g = path_graph(2)
         f = construct_weak_uniform(g, bipartition_of(g), 3)
-        assert f[0] == SetLabel([0])
+        assert f[0] == SetLabel([1])
         assert f[1] == SetLabel([0, 1, 2])
-        assert sumset(f[0], f[1]) == SetLabel([0, 1, 2])
+        assert sumset(f[0], f[1]) == SetLabel([1, 2, 3])
 
     def test_c4_k2_alternating_sizes(self):
         g = cycle_graph(4)
@@ -239,7 +244,7 @@ class TestWeakUniform:
         g = path_graph(3)
         bp = bipartition_of(g)
         weak = construct_weak_uniform(g, bp, 4)
-        strong = construct_bipartite_strong(g, bp, ConstructionParams(4, FactorPair(2, 2)))
+        strong = construct_bipartite_strong(g, bp, ConstructionParams(4, 2))
         weak_sizes = Counter(len(weak[v]) for v in range(3))
         strong_sizes = Counter(len(strong[v]) for v in range(3))
         assert weak_sizes == Counter({1: 2, 4: 1})
@@ -253,10 +258,10 @@ class TestWeakUniform:
             r = verify(g, f)
             assert r.is_iasi and r.is_weak and r.uniform_k == k
             assert check_weak_characterization(g, f)
-        # the weak family is the strong one with factors 1*k
+        # the weak family is the strong one with m = 1
         for g in bipartite_suite():
             bp = bipartition_of(g)
-            strong = construct_bipartite_strong(g, bp, ConstructionParams(k, FactorPair(1, k)))
+            strong = construct_bipartite_strong(g, bp, ConstructionParams(k, 1))
             assert construct_weak_uniform(g, bp, k) == strong
 
 
@@ -277,9 +282,9 @@ def test_constructors_verify_on_random_bipartite_graphs():
         disconnected += len(connected_components(g)) > 1
         bp = bipartition_of(g)
         for k in range(1, 13):
-            for pair in factor_pairs(k):
-                rep = verify(g, construct_bipartite_strong(g, bp, ConstructionParams(k, pair)))
-                assert (rep.is_iasi, rep.is_strong, rep.uniform_k) == (True, True, k), (edges, pair)
+            for m in divisors_of(k):
+                rep = verify(g, construct_bipartite_strong(g, bp, ConstructionParams(k, m)))
+                assert (rep.is_iasi, rep.is_strong, rep.uniform_k) == (True, True, k), (edges, m)
         for k in range(1, 7):
             rep = verify(g, construct_weak_uniform(g, bp, k))
             assert (rep.is_iasi, rep.is_weak, rep.uniform_k) == (True, True, k), (edges, k)

@@ -214,6 +214,24 @@ def test_graph_invariants_enforced():
         Graph(3, [(0, 1)])  # vertex 2 isolated
 
 
+@pytest.mark.parametrize(
+    "count, edges, message",
+    [
+        (-1, [], "^vertex count must be a non-negative integer$"),
+        (2.0, [(0, 1)], "^vertex count must be a non-negative integer$"),
+        (True, [], "^vertex count must be a non-negative integer$"),
+        ("2", [(0, 1)], "^vertex count must be a non-negative integer$"),
+        # True == 1 would pass the range check and be written as true
+        (3, [(0, True), (1, 2)], "^vertex ids must be integers, not bool$"),
+        (2, [(0.0, 1)], "^vertex ids must be integers, not float$"),
+        (2, [(0, "1")], "^vertex ids must be integers, not str$"),
+    ],
+)
+def test_graph_refuses_ids_that_are_not_ints(count, edges, message):
+    with pytest.raises(GraphFormatError, match=message):
+        Graph(count, edges)
+
+
 class TestGraphObject:
     def test_hash_and_repr(self):
         g = path_graph(3)

@@ -10,7 +10,6 @@ import iasi.cli
 from iasi import (
     ConstructionError,
     ConstructionParams,
-    FactorPair,
     Labeling,
     SearchSpec,
     SetLabel,
@@ -50,8 +49,7 @@ RECORDS = {
         lambda: SearchSpec(8, 2, "strong", 4),
         ("universe_max", "max_label_size", "target", "k", "node_budget"),
     ),
-    "ConstructionParams": (lambda: ConstructionParams(6, FactorPair(2, 3)), ("k", "factors")),
-    "FactorPair": (lambda: FactorPair(2, 3), ("m", "n")),
+    "ConstructionParams": (lambda: ConstructionParams(6, 2), ("k", "m")),
 }
 
 
@@ -76,8 +74,7 @@ def test_record_repr_names_its_fields(name):
 
 
 def test_small_record_reprs():
-    assert repr(FactorPair(2, 3)) == "FactorPair(m=2, n=3)"
-    assert repr(ConstructionParams(4)) == "ConstructionParams(k=4, factors=None)"
+    assert repr(ConstructionParams(4)) == "ConstructionParams(k=4, m=None)"
     assert repr(SearchSpec(8, 2, "strong", 4)) == (
         "SearchSpec(universe_max=8, max_label_size=2, target='strong', k=4, node_budget=10000000)"
     )
@@ -89,14 +86,16 @@ def test_small_record_reprs():
 @pytest.mark.parametrize(
     "make, error, message",
     [
-        (lambda: FactorPair(0, 3), ConstructionError, "factors must be positive"),
-        (lambda: FactorPair(m=2, n=-1), ConstructionError, "factors must be positive"),
         (lambda: ConstructionParams(0), ConstructionError, "k must be positive"),
         (lambda: ConstructionParams(k=-2), ConstructionError, "k must be positive"),
-        (lambda: ConstructionParams(6, FactorPair(2, 2)), ConstructionError,
-         r"factors 2\*2 != k=6"),
-        (lambda: ConstructionParams(k=6, factors=FactorPair(1, 5)), ConstructionError,
-         r"factors 1\*5 != k=6"),
+        (lambda: ConstructionParams(6, 0), ConstructionError,
+         "^m must be a positive divisor of k=6$"),
+        (lambda: ConstructionParams(k=6, m=-1), ConstructionError,
+         "^m must be a positive divisor of k=6$"),
+        (lambda: ConstructionParams(6, 4), ConstructionError,
+         "^m must be a positive divisor of k=6$"),
+        (lambda: ConstructionParams(k=6, m=5), ConstructionError,
+         "^m must be a positive divisor of k=6$"),
         (lambda: SearchSpec(-1, 1, "any-strong"), ValueError, "universe_max must be in"),
         (lambda: SearchSpec(universe_max=10**6, max_label_size=1, target="any-strong"),
          ValueError, "universe_max must be in"),
@@ -114,7 +113,7 @@ def test_small_record_reprs():
          "target 'weak' requires a positive k"),
         (lambda: SearchSpec(8, 2, "any-strong", 4), ValueError, "target 'any-strong' takes no k"),
         # bool is a subclass of int, and a float may equal an int, but
-        # neither is a size, a budget or a factor
+        # neither is a size, a budget or a divisor
         (lambda: SearchSpec(4.0, 2, "any-strong"), ValueError, "universe_max must be an integer"),
         (lambda: SearchSpec(4, 2.0, "any-strong"), ValueError, "max_label_size must be an integer"),
         (lambda: SearchSpec(4, True, "any-strong"), ValueError,
@@ -124,13 +123,16 @@ def test_small_record_reprs():
         (lambda: SearchSpec(4, 2, "any-strong", None, 1e6), ValueError,
          "node_budget must be an integer"),
         (lambda: ConstructionParams(True), ConstructionError, "k must be an integer"),
-        (lambda: ConstructionParams(6.0, FactorPair(2, 3)), ConstructionError,
-         "k must be an integer"),
-        (lambda: FactorPair(2.0, 3), ConstructionError, "factors must be positive integers"),
-        (lambda: FactorPair(1, True), ConstructionError, "factors must be positive integers"),
-        # a plain tuple equals FactorPair(2, 3) but is not one
-        (lambda: ConstructionParams(6, (2, 3)), ConstructionError, "factors must be a FactorPair"),
-        (lambda: ConstructionParams(6, "ab"), ConstructionError, "factors must be a FactorPair"),
+        (lambda: ConstructionParams(6.0, 2), ConstructionError, "k must be an integer"),
+        (lambda: ConstructionParams(6, 2.0), ConstructionError,
+         "^m must be a positive divisor of k=6$"),
+        (lambda: ConstructionParams(1, True), ConstructionError,
+         "^m must be a positive divisor of k=1$"),
+        # a factor pair is not a divisor
+        (lambda: ConstructionParams(6, (2, 3)), ConstructionError,
+         "^m must be a positive divisor of k=6$"),
+        (lambda: ConstructionParams(6, "ab"), ConstructionError,
+         "^m must be a positive divisor of k=6$"),
     ],
 )
 def test_validated_records_reject_bad_arguments(make, error, message):
@@ -142,16 +144,17 @@ def test_replace_validates():
     assert SearchSpec(8, 2, "strong", 4)._replace(k=9).k == 9
     with pytest.raises(ValueError, match="node_budget must be positive"):
         SearchSpec(8, 2, "strong", 4)._replace(node_budget=0)
-    with pytest.raises(ConstructionError, match=r"factors 2\*3 != k=5"):
-        ConstructionParams(6, FactorPair(2, 3))._replace(k=5)
-    with pytest.raises(ConstructionError, match="factors must be positive"):
-        FactorPair(2, 3)._replace(n=0)
+    assert ConstructionParams(6, 2)._replace(m=3) == (6, 3)
+    with pytest.raises(ConstructionError, match="^m must be a positive divisor of k=5$"):
+        ConstructionParams(6, 2)._replace(k=5)
+    with pytest.raises(ConstructionError, match="^m must be a positive divisor of k=6$"):
+        ConstructionParams(6, 2)._replace(m=0)
     with pytest.raises(ValueError, match="k must be an integer"):
         SearchSpec(8, 2, "strong", 4)._replace(k=4.0)
     with pytest.raises(ConstructionError, match="k must be an integer"):
         ConstructionParams(1)._replace(k=True)
-    with pytest.raises(ConstructionError, match="factors must be positive integers"):
-        FactorPair(2, 3)._replace(m=2.0)
+    with pytest.raises(ConstructionError, match="^m must be a positive divisor of k=6$"):
+        ConstructionParams(6, 2)._replace(m=2.0)
 
 
 def test_search_spec_default_budget():
@@ -226,6 +229,6 @@ def test_records_are_tuples_of_their_fields():
     side_x, side_y = bp
     assert bp == (frozenset({0, 2}), frozenset({1})) and len(bp) == 2
     assert (side_x, side_y) == (bp.side_x, bp.side_y)
-    assert FactorPair(2, 3) == (2, 3) and hash(FactorPair(2, 3)) == hash((2, 3))
+    assert ConstructionParams(6, 2) == (6, 2) and hash(ConstructionParams(6, 2)) == hash((6, 2))
     report = verify(path_graph(2), P2_STRONG4)
     assert list(report._asdict()) == list(report.as_dict())

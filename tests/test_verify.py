@@ -371,6 +371,13 @@ class TestAnalyze:
                 path_graph(2), labeling({0: [0, 1], 1: [1, 2]}), 4
             )
 
+    @pytest.mark.parametrize("k", [4.0, True, "4", None, 0, -4])
+    def test_rejects_k_that_is_not_a_positive_int(self, k):
+        # refused before the edge pass, as the wrong k, not as a labeling
+        # that fails to be strongly k-uniform
+        with pytest.raises(ValueError, match="^k must be a positive integer$"):
+            analyze_divisor_partition(path_graph(2), labeling({0: [0, 1], 1: [0, 2]}), k)
+
 
 class TestLabelingObject:
     def test_vertices_ascend(self):
