@@ -15,11 +15,11 @@ All constructors are deterministic: identical inputs give identical labels.
 
 from __future__ import annotations
 
-from collections import namedtuple
+from collections import Counter, namedtuple
 
-from .graphs import Graph, Bipartition, _id_summary, is_valid_bipartition
-from .setlabel import MAX_ELEMENTS, SetLabel, difference_set
-from .verify import Labeling, _edge_pass, divisors_of
+from .graphs import Graph, Bipartition, _id_summary, _smooth, is_valid_bipartition
+from .setlabel import MAX_ELEMENTS, SetLabel, difference_set, is_sumset_maximal
+from .verify import Labeling, _edge_pass, _proven, divisors_of
 
 
 class ConstructionError(ValueError):
@@ -134,6 +134,12 @@ def topological_reduce(g: Graph, f: Labeling, v: int) -> tuple[Graph, Labeling]:
     new edge keeps the product property and the result is strong again.
     Vertex ids above v are shifted down by one in both the returned graph
     and labeling.
+
+    The returned labeling carries a proof: it is a strong set-indexer of the
+    returned graph, whose edge-label minima it counts.  Given that very graph
+    (`is`, not `==`), only the new edge is checked: it must be full, with a
+    minimum that no other edge has.  Without a proof, or in doubt, one pass
+    over all edges decides, with the same errors.
     """
     if type(v) is not int:  # bool is not a vertex id
         raise ReductionError("vertex must be an integer")
@@ -144,43 +150,44 @@ def topological_reduce(g: Graph, f: Labeling, v: int) -> tuple[Graph, Labeling]:
     u, w = g.neighbors(v)
     if g.has_edge(u, w):
         raise ReductionError(f"neighbors {u} and {w} are adjacent; reduction undefined")
-    # one pass over the old edges and then the new one: the old edges must
-    # be strong with distinct labels, and the new one strong with a label no
-    # old edge carries (an edge at v cannot: strong sums cancel, see setlabel)
-    new = len(g.edges)
-    _, _, not_strong, firsts = _edge_pass(g, f, (*g.edges, (u, w)))
-    if not_strong and not_strong[0] != new:
-        raise ReductionError("labeling is not strong")
-    if len(set(f.assignment.values())) < len(f) or any(i != new for i in firsts):
-        raise ReductionError("labeling is not a set-indexer")
-    if not_strong:
-        # the larger label's difference set costs |large|^2; past |small|^2
-        # elements it is cheaper to test each difference d of the smaller
-        # label against the larger one's members, at |small|^2 * |large|
-        small, large = sorted((f[u], f[w]), key=len)
-        if len(large) <= len(small) ** 2:
-            shared = difference_set(small) & difference_set(large)
-        else:
-            members = set(large.elements)
-            shared = [d for d in difference_set(small) if any(x + d in members for x in large.elements)]
-        shared = sorted(shared)
-        raise ReductionError(
-            f"difference sets of {u} and {w} share {_id_summary(shared, len(shared))}",
-            shared_differences=tuple(shared),
-        )
-    if new in firsts:
-        a, b = firsts[new][0]
-        raise ReductionError(
-            f"new edge {u}-{w} would duplicate the label of edge {a}-{b}"
-        )
-
-    def remap(x: int) -> int:
-        return x if x < v else x - 1
-
-    edges = [(remap(a), remap(b)) for a, b in g.edges if v not in (a, b)]
-    edges.append((remap(u), remap(w)))
-    reduced = Graph(g.vertex_count - 1, edges)
-    labels = Labeling(
-        {remap(x): f[x] for x in g.vertices() if x != v}
-    )
-    return reduced, labels
+    minima = None
+    if f._proof is not None and f._proof[0] is g:
+        lu, lv, lw = (f[x].elements[0] for x in (u, v, w))
+        minima = f._proof[1].copy()
+        minima.subtract((lu + lv, lv + lw))  # the edges at v; zero counts stay
+        if minima[lu + lw] or not is_sumset_maximal(f[u], f[w]):
+            minima = None
+    if minima is None:
+        # old edges strong with distinct labels, the new one strong with a label
+        # no old edge carries (one at v cannot: strong sums cancel, see setlabel)
+        new = len(g.edges)
+        _, _, not_strong, firsts = _edge_pass(g, f, (*g.edges, (u, w)))
+        if not_strong and not_strong[0] != new:
+            raise ReductionError("labeling is not strong")
+        if len(set(f.assignment.values())) < len(f) or any(i != new for i in firsts):
+            raise ReductionError("labeling is not a set-indexer")
+        if not_strong:
+            # the larger label's difference set costs |large|^2; past |small|^2
+            # elements it is cheaper to test each difference d of the smaller
+            # label against the larger one's members, at |small|^2 * |large|
+            small, large = sorted((f[u], f[w]), key=len)
+            if len(large) <= len(small) ** 2:
+                shared = difference_set(small) & difference_set(large)
+            else:
+                members = set(large.elements)
+                shared = [d for d in difference_set(small) if any(x + d in members for x in large.elements)]
+            shared = sorted(shared)
+            raise ReductionError(
+                f"difference sets of {u} and {w} share {_id_summary(shared, len(shared))}",
+                shared_differences=tuple(shared),
+            )
+        if new in firsts:
+            a, b = firsts[new][0]
+            raise ReductionError(f"new edge {u}-{w} would duplicate the label of edge {a}-{b}")
+        lo = [a.elements[0] for a in f.assignment.values()]
+        minima = Counter(lo[a] + lo[b] for a, b in g.edges if a != v != b)
+    minima[f[u].elements[0] + f[w].elements[0]] += 1
+    reduced = _smooth(g, v)
+    labels = list(f.assignment.values())
+    del labels[v]
+    return reduced, _proven(labels, reduced, minima)

@@ -8,6 +8,7 @@ labeling file prepared for the graph stays aligned with it.
 
 from __future__ import annotations
 
+from bisect import insort
 from collections import deque
 from itertools import chain, islice
 from typing import Iterable, NamedTuple
@@ -29,7 +30,11 @@ class Graph:
         if type(vertex_count) is not int or vertex_count < 0:  # bool is not a count
             raise GraphFormatError("vertex count must be a non-negative integer")
         norm: set[Edge] = set()
-        for u, v in edges:
+        for e in edges:
+            try:
+                u, v = e
+            except (TypeError, ValueError):
+                raise GraphFormatError("edge must be a pair of vertex ids") from None
             if type(u) is not int or type(v) is not int:  # bool is not an id
                 bad = v if type(u) is int else u
                 raise GraphFormatError(f"vertex ids must be integers, not {type(bad).__name__}")
@@ -45,16 +50,20 @@ class Graph:
             # fewer edge endpoints than ids: fail before allocating anything
             # per id, so a lone edge to a huge id costs no memory
             raise GraphFormatError(_isolated_vertices(vertex_count, norm))
-        ordered = tuple(sorted(norm))
+        self._fill(vertex_count, tuple(sorted(norm)))
+        if not all(self._adj):
+            raise GraphFormatError(_isolated_vertices(vertex_count, norm))
+
+    def _fill(self, vertex_count: int, edges: tuple[Edge, ...]) -> "Graph":
+        """Set the fields from sorted edges (u, v), u < v, taken as valid."""
         adj: list[list[int]] = [[] for _ in range(vertex_count)]
-        for u, v in ordered:
+        for u, v in edges:
             adj[u].append(v)
             adj[v].append(u)
-        if not all(adj):
-            raise GraphFormatError(_isolated_vertices(vertex_count, norm))
         object.__setattr__(self, "vertex_count", vertex_count)
-        object.__setattr__(self, "edges", ordered)
+        object.__setattr__(self, "edges", edges)
         object.__setattr__(self, "_adj", tuple(tuple(ns) for ns in adj))
+        return self
 
     def __setattr__(self, name, value):
         raise AttributeError("Graph is immutable")
@@ -81,6 +90,16 @@ class Graph:
 
     def __repr__(self) -> str:
         return f"Graph({self.vertex_count}, {list(self.edges)})"
+
+
+def _smooth(g: Graph, v: int) -> Graph:
+    """g less its degree-2 vertex v, with v's non-adjacent neighbors joined and
+    ids above v one lower: the shift keeps the edges sorted and valid."""
+    shift = [x - (x > v) for x in range(g.vertex_count)]
+    edges = [(shift[a], shift[b]) for a, b in g.edges if a != v != b]
+    u, w = g.neighbors(v)  # ascending, like every adjacency tuple
+    insort(edges, (shift[u], shift[w]))
+    return object.__new__(Graph)._fill(g.vertex_count - 1, tuple(edges))
 
 
 # Longest id an edge list, a labeling key or an integer option may spell:

@@ -27,12 +27,12 @@ class LabelingError(ValueError):
 class Labeling:
     """Total, read-only assignment of a SetLabel to every vertex id of some graph."""
 
-    __slots__ = ("assignment",)
+    # _proof: None, or (graph, edge-label minima) set by topological_reduce
+    __slots__ = ("assignment", "_proof")
 
     def __init__(self, assignment: Mapping[int, SetLabel]):
-        object.__setattr__(
-            self, "assignment", MappingProxyType(dict(sorted(assignment.items())))
-        )
+        object.__setattr__(self, "assignment", MappingProxyType(dict(sorted(assignment.items()))))
+        object.__setattr__(self, "_proof", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("Labeling is immutable")
@@ -93,6 +93,14 @@ class Labeling:
                 raise LabelingError(f"label for vertex {vid}: negative element {arr[0]} in set label")
             assignment[v] = _from_sorted(tuple(arr))
         return cls(assignment)
+
+
+def _proven(labels: list[SetLabel], g: Graph, minima: Counter) -> Labeling:
+    """The labeling i -> labels[i], not re-sorted, with the proof (g, minima)."""
+    f = object.__new__(Labeling)
+    object.__setattr__(f, "assignment", MappingProxyType(dict(enumerate(labels))))
+    object.__setattr__(f, "_proof", (g, minima))
+    return f
 
 
 class Violation(NamedTuple):

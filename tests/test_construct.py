@@ -427,3 +427,123 @@ class TestTopologicalReduce:
         g2, f2 = topological_reduce(g1, f1, 1)
         assert verify(g2, f2).is_strong
         assert g2.vertex_count == 2
+
+
+class TestChainedReductions:
+    """A labeling returned by topological_reduce proves itself a strong
+    set-indexer of the graph returned with it, so the next reduction of
+    that very graph checks only the new edge."""
+
+    @staticmethod
+    def count_edge_passes(monkeypatch):
+        calls = []
+
+        def counted(*args, real=construct_module._edge_pass):
+            calls.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(construct_module, "_edge_pass", counted)
+        return calls
+
+    @staticmethod
+    def reduce_or_error(g, f, v):
+        try:
+            return topological_reduce(g, f, v)
+        except ReductionError as exc:
+            return str(exc), exc.shared_differences
+
+    def test_chains_match_proof_free_copies(self, monkeypatch):
+        # paths and cycles with chords, random small labels: each step is
+        # also run on a copy of its input without the proof, and must give
+        # the same graph and labeling, or the same error
+        calls = self.count_edge_passes(monkeypatch)
+        rng = Random(0x21C)
+        seen = Counter()
+        for _ in range(400):
+            n = rng.randint(4, 12)
+            edges = {(i, i + 1) for i in range(n - 1)}
+            if rng.random() < 0.5:
+                edges.add((0, n - 1))
+            for _ in range(rng.randint(0, 2)):
+                a, b = sorted(rng.sample(range(n), 2))
+                edges.add((a, b))
+            g = Graph(n, edges)
+            top = rng.choice((1, 3))  # all singletons, whose sums collide more often
+            for _ in range(20):  # mostly strong set-indexers, so that chains go on
+                f = Labeling({x: SetLabel(rng.sample(range(24), rng.randint(1, top))) for x in g.vertices()})
+                if (r := verify(g, f)).is_strong and r.is_iasi:
+                    break
+            for step in range(n):
+                candidates = [x for x in g.vertices() if g.degree(x) == 2]
+                if not candidates:
+                    break
+                v = rng.choice(candidates)
+                del calls[:]
+                got = self.reduce_or_error(g, f, v)
+                passes = len(calls)
+                assert got == self.reduce_or_error(g, Labeling(dict(f.assignment)), v)
+                failed = isinstance(got[0], str)
+                if step:  # f carries a proof: count the outcome and full passes
+                    seen["reduced" if not failed else got[0].split()[0], passes] += 1
+                if failed:
+                    break
+                g, f = got
+                rebuilt = Graph(g.vertex_count, g.edges)  # validated, sorted
+                assert g == rebuilt and all(g.neighbors(x) == rebuilt.neighbors(x) for x in g.vertices())
+        # reduced on the new edge alone, and after a shared minimum; refused
+        # for shared differences ("difference ..."), a duplicate label ("new
+        # edge ...") and adjacent neighbours; a proof is never wrong about
+        # the old edges ("labeling is not ...")
+        assert seen["reduced", 0] and seen["reduced", 1]
+        assert seen["difference", 1] and seen["new", 1] and seen["neighbors", 0]
+        assert not seen["labeling", 1]
+
+    def test_proof_for_an_equal_graph_runs_the_full_pass(self, monkeypatch):
+        calls = self.count_edge_passes(monkeypatch)
+        g = path_graph(6)
+        f = Labeling({i: SetLabel([24 * i, 24 * i + i + 1]) for i in g.vertices()})
+        g1, f1 = topological_reduce(g, f, 1)
+        assert len(calls) == 1
+        topological_reduce(g1, f1, 1)
+        assert len(calls) == 1
+        twin = Graph(g1.vertex_count, g1.edges)
+        assert twin == g1 and twin is not g1
+        assert topological_reduce(twin, f1, 1) == topological_reduce(g1, f1, 1)
+        assert len(calls) == 2
+
+    def test_duplicate_new_edge_label_through_a_proof(self, monkeypatch):
+        # the first reduction joins 0-2 with {20}; the second joins 0-2 of
+        # the reduced graph with {0}+{5} = {5}, the label of edge 3-4
+        calls = self.count_edge_passes(monkeypatch)
+        g = Graph(6, [(0, 1), (1, 2), (2, 3), (4, 5)])
+        f = Labeling({x: SetLabel([e]) for x, e in enumerate([0, 10, 20, 5, 1, 4])})
+        g1, f1 = topological_reduce(g, f, 1)
+        message = "new edge 0-2 would duplicate the label of edge 3-4"
+        with pytest.raises(ReductionError, match=f"^{message}$"):
+            topological_reduce(g1, f1, 1)
+        assert len(calls) == 2
+        with pytest.raises(ReductionError, match=f"^{message}$"):
+            topological_reduce(g1, Labeling(dict(f1.assignment)), 1)
+
+    def test_the_edges_at_v_leave_the_count(self, monkeypatch):
+        # after the first reduction, the new edge 0-2 of P_3 has the minimum
+        # 0 + 10 of the edge 0-1 it replaces, which is no doubt
+        calls = self.count_edge_passes(monkeypatch)
+        g = path_graph(4)
+        f = Labeling({0: SetLabel([0, 1]), 1: SetLabel([50]), 2: SetLabel([10]), 3: SetLabel([10, 13])})
+        g1, f1 = topological_reduce(g, f, 1)
+        g2, f2 = topological_reduce(g1, f1, 1)
+        assert len(calls) == 1
+        assert g2.edges == ((0, 1),) and verify(g2, f2).edge_sizes == {(0, 1): 4}
+
+    def test_a_chain_runs_one_edge_pass(self, monkeypatch):
+        # position i of P_200 carries {L*i, L*i + i + 1}: difference sets
+        # {i + 1} are pairwise disjoint, and every new edge has a fresh minimum
+        calls = self.count_edge_passes(monkeypatch)
+        n = 200
+        g = path_graph(n)
+        f = Labeling({i: SetLabel([4 * n * i, 4 * n * i + i + 1]) for i in g.vertices()})
+        for j in range(20):
+            g, f = topological_reduce(g, f, 9 * j + 5)  # path position 10j + 5
+        assert len(calls) == 1
+        assert g.vertex_count == n - 20 and verify(g, f).is_strong and verify(g, f).is_iasi

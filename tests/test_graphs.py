@@ -232,6 +232,12 @@ def test_graph_refuses_ids_that_are_not_ints(count, edges, message):
         Graph(count, edges)
 
 
+@pytest.mark.parametrize("edge", [5, (0, 1, 2), (0,)], ids=["int", "triple", "single"])
+def test_graph_refuses_edges_that_are_not_pairs(edge):
+    with pytest.raises(GraphFormatError, match="^edge must be a pair of vertex ids$"):
+        Graph(2, [edge])
+
+
 class TestGraphObject:
     def test_hash_and_repr(self):
         g = path_graph(3)
