@@ -235,5 +235,17 @@ def main(argv: list[str] | None = None) -> int:
     return 0
 
 
+def run() -> int:
+    """The iasi command's process entry: main() without the cyclic
+    garbage collector.  A command builds only acyclic graphs, labels and
+    reports, which reference counting frees, so the collector would only
+    rescan them, and at exit everything imported, which freeze() exempts."""
+    import gc  # here: a caller of main() loads no module main() does not use
+
+    gc.freeze()
+    gc.disable()
+    return main()
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(run())

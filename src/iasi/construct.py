@@ -152,10 +152,14 @@ def topological_reduce(g: Graph, f: Labeling, v: int) -> tuple[Graph, Labeling]:
         raise ReductionError(f"neighbors {u} and {w} are adjacent; reduction undefined")
     minima = None
     if f._proof is not None and f._proof[0] is g:
+        # the old edges are proven, so a new edge that is not full is refused
+        # for its shared differences, as the full pass would refuse it
+        if not is_sumset_maximal(f[u], f[w]):
+            raise _shared_differences(f, u, w)
         lu, lv, lw = (f[x].elements[0] for x in (u, v, w))
         minima = f._proof[1].copy()
         minima.subtract((lu + lv, lv + lw))  # the edges at v; zero counts stay
-        if minima[lu + lw] or not is_sumset_maximal(f[u], f[w]):
+        if minima[lu + lw]:
             minima = None
     if minima is None:
         # old edges strong with distinct labels, the new one strong with a label
@@ -167,20 +171,7 @@ def topological_reduce(g: Graph, f: Labeling, v: int) -> tuple[Graph, Labeling]:
         if len(set(f.assignment.values())) < len(f) or any(i != new for i in firsts):
             raise ReductionError("labeling is not a set-indexer")
         if not_strong:
-            # the larger label's difference set costs |large|^2; past |small|^2
-            # elements it is cheaper to test each difference d of the smaller
-            # label against the larger one's members, at |small|^2 * |large|
-            small, large = sorted((f[u], f[w]), key=len)
-            if len(large) <= len(small) ** 2:
-                shared = difference_set(small) & difference_set(large)
-            else:
-                members = set(large.elements)
-                shared = [d for d in difference_set(small) if any(x + d in members for x in large.elements)]
-            shared = sorted(shared)
-            raise ReductionError(
-                f"difference sets of {u} and {w} share {_id_summary(shared, len(shared))}",
-                shared_differences=tuple(shared),
-            )
+            raise _shared_differences(f, u, w)
         if new in firsts:
             a, b = firsts[new][0]
             raise ReductionError(f"new edge {u}-{w} would duplicate the label of edge {a}-{b}")
@@ -191,3 +182,22 @@ def topological_reduce(g: Graph, f: Labeling, v: int) -> tuple[Graph, Labeling]:
     labels = list(f.assignment.values())
     del labels[v]
     return reduced, _proven(labels, reduced, minima)
+
+
+def _shared_differences(f: Labeling, u: int, w: int) -> ReductionError:
+    """The refusal of a new edge u-w that is not full: the differences its
+    endpoint labels share."""
+    # the larger label's difference set costs |large|^2; past |small|^2
+    # elements it is cheaper to test each difference d of the smaller
+    # label against the larger one's members, at |small|^2 * |large|
+    small, large = sorted((f[u], f[w]), key=len)
+    if len(large) <= len(small) ** 2:
+        shared = difference_set(small) & difference_set(large)
+    else:
+        members = set(large.elements)
+        shared = [d for d in difference_set(small) if any(x + d in members for x in large.elements)]
+    shared = sorted(shared)
+    return ReductionError(
+        f"difference sets of {u} and {w} share {_id_summary(shared, len(shared))}",
+        shared_differences=tuple(shared),
+    )

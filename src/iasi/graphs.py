@@ -29,7 +29,7 @@ class Graph:
     def __init__(self, vertex_count: int, edges: Iterable[Edge]):
         if type(vertex_count) is not int or vertex_count < 0:  # bool is not a count
             raise GraphFormatError("vertex count must be a non-negative integer")
-        norm: set[Edge] = set()
+        pairs: list[Edge] = []
         for e in edges:
             try:
                 u, v = e
@@ -42,17 +42,27 @@ class Graph:
                 raise GraphFormatError(f"self-loop at vertex {u}")
             if not (0 <= u < vertex_count and 0 <= v < vertex_count):
                 raise GraphFormatError(f"edge ({u},{v}) out of range for {vertex_count} vertices")
-            e = (u, v) if u < v else (v, u)
-            if e in norm:
-                raise GraphFormatError(f"duplicate edge {e[0]}-{e[1]}")
-            norm.add(e)
-        if vertex_count > 2 * len(norm):
+            pairs.append((u, v) if u < v else (v, u))
+        self._build(vertex_count, pairs)
+
+    def _build(self, vertex_count: int, pairs: list[Edge]) -> "Graph":
+        """Set the fields from in-range pairs (u, v), u < v, once no pair
+        repeats and every id is on one."""
+        edges = set(pairs)
+        if len(edges) < len(pairs):
+            seen: set[Edge] = set()
+            for e in pairs:  # the first repeat, in input order
+                if e in seen:
+                    raise GraphFormatError(f"duplicate edge {e[0]}-{e[1]}")
+                seen.add(e)
+        if vertex_count > 2 * len(edges):
             # fewer edge endpoints than ids: fail before allocating anything
             # per id, so a lone edge to a huge id costs no memory
-            raise GraphFormatError(_isolated_vertices(vertex_count, norm))
-        self._fill(vertex_count, tuple(sorted(norm)))
+            raise GraphFormatError(_isolated_vertices(vertex_count, edges))
+        self._fill(vertex_count, tuple(sorted(pairs)))  # linear on sorted input
         if not all(self._adj):
-            raise GraphFormatError(_isolated_vertices(vertex_count, norm))
+            raise GraphFormatError(_isolated_vertices(vertex_count, edges))
+        return self
 
     def _fill(self, vertex_count: int, edges: tuple[Edge, ...]) -> "Graph":
         """Set the fields from sorted edges (u, v), u < v, taken as valid."""
@@ -160,7 +170,6 @@ def parse_edge_list(text: str) -> Graph:
     seen; every id below that must occur in some edge.
     """
     edges: list[Edge] = []
-    max_id = -1
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -174,15 +183,16 @@ def parse_edge_list(text: str) -> Graph:
             raise GraphFormatError(f"line {lineno}: vertex id {exc}") from None
         except ValueError:
             raise GraphFormatError(f"line {lineno}: non-integer vertex id in {_clip(line)!r}") from None
-        if u < 0 or v < 0:
+        if u > v:
+            u, v = v, u
+        if u < 0:
             raise GraphFormatError(f"line {lineno}: negative vertex id in {_clip(line)!r}")
         if u == v:
             raise GraphFormatError(f"line {lineno}: self-loop at vertex {_clip(parts[0])}")
-        max_id = max(max_id, u, v)
         edges.append((u, v))
     if not edges:
         raise GraphFormatError("edge list is empty")
-    return Graph(max_id + 1, edges)
+    return object.__new__(Graph)._build(1 + max(v for _, v in edges), edges)
 
 
 def _two_coloring(g: Graph) -> tuple[list[int], list[int], set[int]]:
@@ -237,18 +247,24 @@ def is_valid_bipartition(g: Graph, bp: Bipartition) -> bool:
     return all((u in bp.side_x) != (v in bp.side_x) for u, v in g.edges)
 
 
+def _components(g: Graph) -> list[list[int]]:
+    """Each connected component's vertices in ascending order, the
+    components by ascending minimum vertex id."""
+    _, root, _ = _two_coloring(g)
+    members: dict[int, list[int]] = {}
+    for v, r in enumerate(root):
+        # a root is its component's lowest id, so components appear in
+        # ascending order of their minimum
+        members.setdefault(r, []).append(v)
+    return list(members.values())
+
+
 def connected_components(g: Graph) -> list[frozenset[int]]:
     """Partition the vertex set into maximal connected pieces.
 
     Components are listed by ascending minimum vertex id.
     """
-    _, root, _ = _two_coloring(g)
-    members: dict[int, list[int]] = {}
-    for v in g.vertices():
-        # a root is its component's lowest id, so components appear in
-        # ascending order of their minimum
-        members.setdefault(root[v], []).append(v)
-    return [frozenset(vs) for vs in members.values()]
+    return [frozenset(vs) for vs in _components(g)]
 
 
 def is_clique(g: Graph, vertices: Iterable[int]) -> bool:
@@ -261,35 +277,40 @@ def is_clique(g: Graph, vertices: Iterable[int]) -> bool:
     return all(len(vs.intersection(g.neighbors(v))) == len(vs) - 1 for v in vs)
 
 
+# The generators below list valid, sorted edges with no isolated vertex,
+# so they fill their graphs without the checks of Graph().
+
+
 def complete_graph(n: int) -> Graph:
     """K_n for n >= 2."""
     if n < 2:
         raise ValueError("a complete graph needs at least 2 vertices here (no isolated vertices)")
-    return Graph(n, [(i, j) for i in range(n) for j in range(i + 1, n)])
+    return object.__new__(Graph)._fill(n, tuple((i, j) for i in range(n) for j in range(i + 1, n)))
 
 
 def path_graph(n: int) -> Graph:
     """P_n: the path on n >= 2 vertices 0-1-...-(n-1)."""
     if n < 2:
         raise ValueError("a path needs at least 2 vertices")
-    return Graph(n, [(i, i + 1) for i in range(n - 1)])
+    return object.__new__(Graph)._fill(n, tuple((i, i + 1) for i in range(n - 1)))
 
 
 def cycle_graph(n: int) -> Graph:
     """C_n: the cycle on n >= 3 vertices."""
     if n < 3:
         raise ValueError("a cycle needs at least 3 vertices")
-    return Graph(n, [(i, (i + 1) % n) for i in range(n)])
+    return object.__new__(Graph)._fill(n, ((0, 1), (0, n - 1), *((i, i + 1) for i in range(1, n - 1))))
 
 
 def complete_bipartite_graph(a: int, b: int) -> Graph:
     """K_{a,b} with side {0..a-1} against {a..a+b-1}."""
     if a < 1 or b < 1:
         raise ValueError("both sides must be nonempty")
-    return Graph(a + b, [(i, a + j) for i in range(a) for j in range(b)])
+    return object.__new__(Graph)._fill(a + b, tuple((i, a + j) for i in range(a) for j in range(b)))
 
 
 def disjoint_union(g: Graph, h: Graph) -> Graph:
     """Disjoint union; h's vertex ids are shifted past g's."""
     off = g.vertex_count
-    return Graph(off + h.vertex_count, list(g.edges) + [(u + off, v + off) for u, v in h.edges])
+    shifted = ((u + off, v + off) for u, v in h.edges)
+    return object.__new__(Graph)._fill(off + h.vertex_count, (*g.edges, *shifted))

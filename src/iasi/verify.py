@@ -15,7 +15,7 @@ from types import MappingProxyType
 from typing import Mapping, NamedTuple
 
 from .graphs import (
-    MAX_ID_DIGITS, Graph, Edge, _clip, _id_summary, _parse_id, connected_components, is_clique,
+    MAX_ID_DIGITS, Graph, Edge, _clip, _components, _id_summary, _parse_id, is_clique,
 )
 from .setlabel import SetLabel, _from_sorted, difference_set, sumset
 
@@ -386,8 +386,8 @@ def analyze_divisor_partition(g: Graph, f: Labeling, k: int) -> PartitionReport:
         classes.setdefault(size[v], []).append(v)
 
     comps = []
-    for comp in connected_components(g):
-        vs = tuple(sorted(comp))
+    for comp in _components(g):
+        vs = tuple(comp)
         comp_sizes = tuple(sorted({size[v] for v in vs}))
         kind = "square-class" if k_is_square and comp_sizes == (root,) else "bipartite-pair"
         # K_2 components are complete but bipartite; the clique flag marks

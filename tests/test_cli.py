@@ -1,5 +1,6 @@
 """End-to-end CLI checks: flag grammar, JSON output, exit codes, round trips."""
 
+import gc
 import json
 import os
 import re
@@ -17,7 +18,7 @@ from iasi import (
     ConstructionParams, Labeling, SetLabel, analyze_divisor_partition, bipartition_of,
     construct_bipartite_strong, parse_edge_list, search, verify,
 )
-from iasi.cli import _dumps, main
+from iasi.cli import _dumps, build_parser, main
 
 
 @pytest.fixture
@@ -757,7 +758,8 @@ def test_no_command_is_usage_error(capsys):
 
 
 def test_python_m_exits_with_the_code_main_returns(capsys, tmp_path, p2):
-    # `python -m iasi.cli` runs main() under the __main__ guard
+    # `python -m iasi.cli` runs run(), which returns main()'s code, under
+    # the __main__ guard
     labels = tmp_path / "l.json"
     labels.write_text('{"0": [0, 1], "1": [10, 12]}')
     env = dict(os.environ, PYTHONPATH=str(Path(iasi.__file__).resolve().parents[1]))
@@ -766,3 +768,58 @@ def test_python_m_exits_with_the_code_main_returns(capsys, tmp_path, p2):
         done = subprocess.run([sys.executable, "-m", "iasi.cli", *argv], capture_output=True,
                               text=True, timeout=60, env=env)
         assert (done.returncode, done.stdout, done.stderr) == run(capsys, argv)
+
+
+def garbage_left_by(call) -> int:
+    """The objects gc.collect() finds unreachable after call() has run with
+    the collector off."""
+    gc.collect()
+    gc.disable()
+    try:
+        call()
+        return gc.collect()
+    finally:
+        gc.enable()
+
+
+def test_commands_leave_no_cycles_but_the_parser(capsys, tmp_path, p3):
+    # run() turns the collector off for the process: every command, its
+    # error exits and a cut search included, must leave nothing for it but
+    # the cycles of argparse's own parser
+    labels = tmp_path / "l.json"
+    labels.write_text('{"0": [0, 1], "1": [10, 12], "2": [30, 34]}')
+    files = ["--graph", p3, "--labels", str(labels)]
+    search = ["search", "--graph", p3, "--target", "strong", "--k", "4", "--universe", "3"]
+    runs = [
+        (0, ["verify", *files]),
+        (0, ["construct", "--graph", p3, "--k", "6"]),
+        (0, ["construct", "--mode", "complete", "--vertices", "4", "--l", "2"]),
+        (0, search),
+        (0, [*search, "--budget", "1"]),
+        (0, ["reduce", *files, "--vertex", "1"]),
+        (0, ["analyze", *files, "--k", "4"]),
+        (1, ["verify", "--graph", p3, "--labels", str(tmp_path / "missing.json")]),
+        (1, ["verify", "--graph", str(labels), "--labels", str(labels)]),
+        (1, ["reduce", *files, "--vertex", "0"]),
+    ]
+    parser = garbage_left_by(build_parser)
+    assert parser > 0
+    for code, argv in runs:
+        codes = []
+        assert garbage_left_by(lambda: codes.append(main(argv))) <= parser, argv
+        assert codes == [code], argv
+    assert '"budget-exceeded"' in capsys.readouterr().out
+
+
+def test_the_process_entry_turns_the_collector_off(p3):
+    script = (
+        "import gc, sys\n"
+        "import iasi.cli\n"
+        f"sys.argv = ['iasi', 'search', '--graph', {p3!r}, '--target', 'strong', '--k', '4', '--universe', '3']\n"
+        "code = iasi.cli.run()\n"
+        "print(code, gc.isenabled(), gc.get_freeze_count() > 0)\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(iasi.__file__).resolve().parents[1]))
+    done = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, timeout=60, env=env)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines()[-1] == "0 False True"

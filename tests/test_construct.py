@@ -491,12 +491,12 @@ class TestChainedReductions:
                 rebuilt = Graph(g.vertex_count, g.edges)  # validated, sorted
                 assert g == rebuilt and all(g.neighbors(x) == rebuilt.neighbors(x) for x in g.vertices())
         # reduced on the new edge alone, and after a shared minimum; refused
-        # for shared differences ("difference ..."), a duplicate label ("new
-        # edge ...") and adjacent neighbours; a proof is never wrong about
-        # the old edges ("labeling is not ...")
+        # for shared differences without a full pass ("difference ..."), a
+        # duplicate label ("new edge ...") and adjacent neighbours; a proof is
+        # never wrong about the old edges ("labeling is not ...")
         assert seen["reduced", 0] and seen["reduced", 1]
-        assert seen["difference", 1] and seen["new", 1] and seen["neighbors", 0]
-        assert not seen["labeling", 1]
+        assert seen["difference", 0] and seen["new", 1] and seen["neighbors", 0]
+        assert not seen["difference", 1] and not seen["labeling", 1]
 
     def test_proof_for_an_equal_graph_runs_the_full_pass(self, monkeypatch):
         calls = self.count_edge_passes(monkeypatch)
@@ -535,6 +535,22 @@ class TestChainedReductions:
         g2, f2 = topological_reduce(g1, f1, 1)
         assert len(calls) == 1
         assert g2.edges == ((0, 1),) and verify(g2, f2).edge_sizes == {(0, 1): 4}
+
+    def test_a_new_edge_that_is_not_full_is_refused_without_a_full_pass(self, monkeypatch):
+        # P_4 with n evens, {1}, {5} and n multiples of 3: after the first
+        # reduction, the new edge 0-2 joins differences shared at 6, 12, ...
+        calls = self.count_edge_passes(monkeypatch)
+        n = 20
+        g = path_graph(4)
+        f = Labeling({0: SetLabel(range(0, 2 * n, 2)), 1: SetLabel([1]), 2: SetLabel([5]),
+                      3: SetLabel(range(10**6, 10**6 + 3 * n, 3))})
+        g1, f1 = topological_reduce(g, f, 1)
+        assert len(calls) == 1
+        got = self.reduce_or_error(g1, f1, 1)
+        assert len(calls) == 1
+        assert got == ("difference sets of 0 and 2 share [6, 12, 18, 24, 30, 36]", (6, 12, 18, 24, 30, 36))
+        assert got == self.reduce_or_error(g1, Labeling(dict(f1.assignment)), 1)
+        assert len(calls) == 2
 
     def test_a_chain_runs_one_edge_pass(self, monkeypatch):
         # position i of P_200 carries {L*i, L*i + i + 1}: difference sets

@@ -45,6 +45,12 @@ class TestParseEdgeList:
         with pytest.raises(GraphFormatError, match="duplicate"):
             parse_edge_list("0 1\n1 0")
 
+    def test_duplicate_reported_after_every_line_in_input_order(self):
+        with pytest.raises(GraphFormatError, match="^line 3: non-integer vertex id in '0 x'$"):
+            parse_edge_list("0 1\n1 0\n0 x")
+        with pytest.raises(GraphFormatError, match="^duplicate edge 1-2$"):
+            parse_edge_list("0 1\n1 2\n2 1\n1 0")
+
     def test_gap_in_ids_reported_as_isolated(self):
         with pytest.raises(GraphFormatError, match=r"isolated vertices: \[1\]"):
             parse_edge_list("0 2")
@@ -212,6 +218,28 @@ def test_graph_invariants_enforced():
         Graph(2, [(0, 3)])
     with pytest.raises(GraphFormatError):
         Graph(3, [(0, 1)])  # vertex 2 isolated
+    with pytest.raises(GraphFormatError, match="^duplicate edge 1-2$"):  # the first in input order
+        Graph(3, [(0, 1), (1, 2), (2, 1), (1, 0)])
+
+
+@pytest.mark.parametrize("n", [*range(2, 13), 40])
+def test_generated_graphs_equal_validated_ones(n):
+    # the generators skip Graph's checks: each must build what Graph
+    # builds from the same edges, adjacency order included
+    def same(g, count, edges):
+        h = Graph(count, edges)
+        assert g == h and [g.neighbors(v) for v in g.vertices()] == [h.neighbors(v) for v in h.vertices()]
+
+    same(complete_graph(n), n, [(i, j) for i in range(n) for j in range(i + 1, n)])
+    same(path_graph(n), n, [(i, i + 1) for i in range(n - 1)])
+    if n >= 3:
+        same(cycle_graph(n), n, [(i, (i + 1) % n) for i in range(n)])
+    for a in range(1, n):
+        same(complete_bipartite_graph(a, n - a), n, [(i, a + j) for i in range(a) for j in range(n - a)])
+    for g, h in [(path_graph(n), complete_graph(3)), (complete_graph(3), path_graph(n)),
+                 (Graph(0, []), path_graph(n)), (path_graph(n), Graph(0, []))]:
+        off = g.vertex_count
+        same(disjoint_union(g, h), off + h.vertex_count, [*g.edges, *((u + off, v + off) for u, v in h.edges)])
 
 
 @pytest.mark.parametrize(
