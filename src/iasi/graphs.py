@@ -270,19 +270,30 @@ def connected_components(g: Graph) -> list[frozenset[int]]:
 def is_clique(g: Graph, vertices: Iterable[int]) -> bool:
     """True iff every pair of the given vertices is an edge of g; costs the
     degree sum of the given vertices."""
-    vs = set(vertices)
-    for v in vs:
+    given = list(vertices)  # checked before the set can merge True into 1
+    for v in given:
+        if type(v) is not int:  # bool is not an id
+            raise ValueError(f"vertex ids must be integers, not {type(v).__name__}")
         if not (0 <= v < g.vertex_count):
             raise ValueError(f"vertex {v} out of range")
+    vs = set(given)
     return all(len(vs.intersection(g.neighbors(v))) == len(vs) - 1 for v in vs)
 
 
 # The generators below list valid, sorted edges with no isolated vertex,
-# so they fill their graphs without the checks of Graph().
+# so they fill their graphs without the checks of Graph(), once their
+# counts pass its type rule.
+
+
+def _require_counts(*counts) -> None:
+    for c in counts:
+        if type(c) is not int:  # bool is not a count
+            raise ValueError(f"vertex counts must be integers, not {type(c).__name__}")
 
 
 def complete_graph(n: int) -> Graph:
     """K_n for n >= 2."""
+    _require_counts(n)
     if n < 2:
         raise ValueError("a complete graph needs at least 2 vertices here (no isolated vertices)")
     return object.__new__(Graph)._fill(n, tuple((i, j) for i in range(n) for j in range(i + 1, n)))
@@ -290,6 +301,7 @@ def complete_graph(n: int) -> Graph:
 
 def path_graph(n: int) -> Graph:
     """P_n: the path on n >= 2 vertices 0-1-...-(n-1)."""
+    _require_counts(n)
     if n < 2:
         raise ValueError("a path needs at least 2 vertices")
     return object.__new__(Graph)._fill(n, tuple((i, i + 1) for i in range(n - 1)))
@@ -297,6 +309,7 @@ def path_graph(n: int) -> Graph:
 
 def cycle_graph(n: int) -> Graph:
     """C_n: the cycle on n >= 3 vertices."""
+    _require_counts(n)
     if n < 3:
         raise ValueError("a cycle needs at least 3 vertices")
     return object.__new__(Graph)._fill(n, ((0, 1), (0, n - 1), *((i, i + 1) for i in range(1, n - 1))))
@@ -304,6 +317,7 @@ def cycle_graph(n: int) -> Graph:
 
 def complete_bipartite_graph(a: int, b: int) -> Graph:
     """K_{a,b} with side {0..a-1} against {a..a+b-1}."""
+    _require_counts(a, b)
     if a < 1 or b < 1:
         raise ValueError("both sides must be nonempty")
     return object.__new__(Graph)._fill(a + b, tuple((i, a + j) for i in range(a) for j in range(b)))

@@ -148,10 +148,11 @@ def _edge_pass(
     Returns (size, sizes, not_strong, firsts): each vertex's label size,
     each edge's label size, the positions of the edges that are not strong,
     and each position whose label an earlier edge already carries -> (the
-    first such edge, the label).  A label of up to 5 elements meets the
-    size guard whenever it has a neighbor of 2 or more elements, and its
-    difference set costs at most 10 differences, so the guard's sum is
-    taken only for larger labels.
+    first such edge, the label).  Edges are bucketed by one int key per
+    edge, (min, max, size) packed at widths fixed per call.  A label of up
+    to 5 elements meets the size guard whenever it has a neighbor of 2 or
+    more elements, and its difference set costs at most 10 differences, so
+    the guard's sum is taken only for larger labels.
     """
     _require_total(g, f)
     labels = list(f.assignment.values())  # f's keys are exactly 0..n-1
@@ -165,9 +166,13 @@ def _edge_pass(
         for v, (a, s) in enumerate(zip(labels, size))
     ]
     sizes: list[int] = []
-    keys: list[tuple[int, int, int]] = []
+    keys: list[int] = []
     not_strong: list[int] = []
     sums: dict[int, SetLabel] = {}
+    # each key packs (min, max, size) into one int: the sums take hb bits
+    # (max <= 2*max(hi)) and the size nb bits (size <= max(size)**2)
+    hb = (2 * max(hi, default=0)).bit_length()
+    nb = (max(size, default=0) ** 2).bit_length()
     for i, (u, v) in enumerate(edges):
         n = size[u] * size[v]
         du, dv = diffs[u], diffs[v]
@@ -181,13 +186,13 @@ def _edge_pass(
                 n = len(lab.elements)
                 not_strong.append(i)
         sizes.append(n)
-        keys.append((lo[u] + lo[v], hi[u] + hi[v], n))
+        keys.append(((lo[u] + lo[v]) << hb | hi[u] + hi[v]) << nb | n)
     firsts: dict[int, tuple[Edge, SetLabel]] = {}
     count = Counter(keys)
     # all keys distinct means all labels distinct, and the scan is skipped
     if len(count) < len(keys):
         # the first position with each label, per shared key
-        buckets: dict[tuple, dict[SetLabel, int]] = {}
+        buckets: dict[int, dict[SetLabel, int]] = {}
         for i, key in enumerate(keys):
             if count[key] > 1:
                 lab = sums[i] if i in sums else sumset(*(labels[x] for x in edges[i]))
@@ -202,7 +207,8 @@ def verify(g: Graph, f: Labeling) -> VerificationReport:
 
     Edge labels are induced sumsets, and injectivity of the edge map is set
     equality of those sumsets.  One loop over the edges takes each edge's
-    size and key (min, max, size).  An edge with a singleton endpoint, or
+    size and key: the triple (min, max, size) packed into one int, so equal
+    keys mean equal triples.  An edge with a singleton endpoint, or
     whose endpoint labels have disjoint difference sets, is strong with
     size |A|*|B| and needs no sumset.  Edges whose keys differ have
     different labels; only edges with equal keys, and edges that are not
@@ -212,57 +218,40 @@ def verify(g: Graph, f: Labeling) -> VerificationReport:
     sumsets it saves; without it, an edge at v whose other end is not a
     singleton takes the exact sumset.  No input costs more than one sumset
     per edge.  Edges are processed in sorted order so the violation list is
-    deterministic.
+    deterministic, and an edge's witness is its own tuple from g.edges.
     """
     size, sizes, not_strong, firsts = _edge_pass(g, f, g.edges)
     labels = f.assignment
     violations: list[Violation] = []
     is_iasi = not firsts
 
+    # each Violation is built by tuple.__new__, without a call to the
+    # NamedTuple's __new__; an edge's witness is its own tuple from g.edges
     seen_labels: dict[SetLabel, int] = {}
     for v in g.vertices():
         a = labels[v]
         first = seen_labels.setdefault(a, v)
         if first != v:
             is_iasi = False
-            violations.append(
-                Violation(
-                    "duplicate-vertex-labels",
-                    f"vertices {first} and {v} share the label {a}",
-                    (first, v),
-                )
-            )
+            msg = f"vertices {first} and {v} share the label {a}"
+            violations.append(tuple.__new__(Violation, ("duplicate-vertex-labels", msg, (first, v))))
 
     edge_sizes = dict(zip(g.edges, sizes))
     weak_ok = True
-    for i, ((u, v), n) in enumerate(edge_sizes.items()):
+    for i, (e, n) in enumerate(edge_sizes.items()):
+        u, v = e
         su, sv = size[u], size[v]
         if i in firsts:
             (pu, pv), lab = firsts[i]
-            violations.append(
-                Violation(
-                    "duplicate-edge-labels",
-                    f"edges {pu}-{pv} and {u}-{v} share the induced label {lab}",
-                    (pu, pv, u, v),
-                )
-            )
-        if n != max(su, sv):
+            msg = f"edges {pu}-{pv} and {u}-{v} share the induced label {lab}"
+            violations.append(tuple.__new__(Violation, ("duplicate-edge-labels", msg, (pu, pv, u, v))))
+        if n != (su if su > sv else sv):
             weak_ok = False
-            violations.append(
-                Violation(
-                    "weak-equality",
-                    f"edge {u}-{v}: |label| = {n} != max({su},{sv})",
-                    (u, v),
-                )
-            )
+            msg = f"edge {u}-{v}: |label| = {n} != max({su},{sv})"
+            violations.append(tuple.__new__(Violation, ("weak-equality", msg, e)))
         if n != su * sv:
-            violations.append(
-                Violation(
-                    "strong-equality",
-                    f"edge {u}-{v}: |label| = {n} != {su}*{sv}",
-                    (u, v),
-                )
-            )
+            msg = f"edge {u}-{v}: |label| = {n} != {su}*{sv}"
+            violations.append(tuple.__new__(Violation, ("strong-equality", msg, e)))
 
     ks = set(edge_sizes.values())
     uniform_k = ks.pop() if len(ks) == 1 else None

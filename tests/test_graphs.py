@@ -210,6 +210,15 @@ class TestIsClique:
         with pytest.raises(ValueError):
             is_clique(path_graph(3), [0, 5])
 
+    @pytest.mark.parametrize(
+        "vertices, name",
+        # True == 1 would pass the range check, and a set would merge it into 1
+        [([0, True], "bool"), ([1, True], "bool"), ([True, 1], "bool"), ([0, 1.0], "float"), (["0"], "str")],
+    )
+    def test_refuses_ids_that_are_not_ints(self, vertices, name):
+        with pytest.raises(ValueError, match=f"^vertex ids must be integers, not {name}$"):
+            is_clique(path_graph(3), vertices)
+
 
 def test_graph_invariants_enforced():
     with pytest.raises(GraphFormatError):
@@ -297,4 +306,25 @@ class TestGraphObject:
     )
     def test_family_argument_errors(self, build, message):
         with pytest.raises(ValueError, match=message):
+            build()
+
+    @pytest.mark.parametrize(
+        "build, name",
+        [
+            (lambda: complete_graph(True), "bool"),
+            (lambda: complete_graph(3.0), "float"),
+            (lambda: path_graph(3.0), "float"),
+            (lambda: path_graph(True), "bool"),
+            (lambda: cycle_graph("5"), "str"),
+            (lambda: cycle_graph(5.0), "float"),
+            # two bools would build K_{1,1}
+            (lambda: complete_bipartite_graph(True, True), "bool"),
+            (lambda: complete_bipartite_graph(2, 2.0), "float"),
+            (lambda: complete_bipartite_graph(None, 2), "NoneType"),
+        ],
+        ids=["complete-bool", "complete-float", "path-float", "path-bool", "cycle-str", "cycle-float",
+             "bipartite-bools", "bipartite-float", "bipartite-none"],
+    )
+    def test_family_counts_must_be_ints(self, build, name):
+        with pytest.raises(ValueError, match=f"^vertex counts must be integers, not {name}$"):
             build()

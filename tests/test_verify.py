@@ -288,6 +288,27 @@ class TestEdgePassCost:
         assert set(calls["sumset"]) <= allowed
 
 
+def test_edge_witnesses_are_the_graph_edge_tuples():
+    # a valid strongly 6-uniform K_{4,7} labeled by 2- and 3-element sets
+    # lists one weak-equality entry per edge; each witness is the tuple
+    # g.edges holds, not a copy of it
+    g = complete_bipartite_graph(4, 7)
+    f = construct_bipartite_strong(g, bipartition_of(g), ConstructionParams(6, 2))
+    r = verify(g, f)
+    assert r.is_iasi and r.is_strong and r.uniform_k == 6
+    assert [v.kind for v in r.violations] == ["weak-equality"] * len(g.edges)
+    for e, viol in zip(g.edges, r.violations):
+        assert type(viol) is verify_module.Violation
+        assert viol.witness is e
+    # {0,1}+{0,1,2} has 4 elements, so both equalities fail on each edge
+    g = path_graph(3)
+    r = verify(g, labeling({0: [0, 1], 1: [0, 1, 2], 2: [3, 4]}))
+    assert [v.kind for v in r.violations] == ["weak-equality", "strong-equality"] * 2
+    for viol, e in zip(r.violations, [e for e in g.edges for _ in range(2)]):
+        assert type(viol) is verify_module.Violation
+        assert viol.witness is e
+
+
 class TestRestrictionClosure:
     def test_strong_survives_deletions(self):
         g = complete_graph(3)

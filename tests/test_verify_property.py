@@ -34,3 +34,32 @@ def test_verify_matches_the_reference_loop(case):
     want = reference_verify(g, f)
     assert json.dumps(verify(g, f).as_dict()) == json.dumps(want)
     assert check_strong_criterion(g, f) == want["is_strong"]
+
+
+WIDE = 2**70
+
+
+@settings(derandomize=True, max_examples=200, database=None, deadline=None)
+@given(labeled_graphs(), st.lists(st.sampled_from((0, WIDE)), min_size=7, max_size=7))
+def test_verify_matches_the_reference_loop_past_a_machine_word(case, shifts):
+    # some or all labels moved up by 2**70, so each packed edge key spans
+    # several machine words and its fields sit far apart or close together
+    g, f = case
+    wide = Labeling({v: f[v].shift(shifts[v]) for v in g.vertices()})
+    want = reference_verify(g, wide)
+    assert json.dumps(verify(g, wide).as_dict()) == json.dumps(want)
+    assert check_strong_criterion(g, wide) == want["is_strong"]
+
+
+def test_wide_labels_with_shared_keys_match_the_reference():
+    # moved up by 2**70: {2}+{0,1,4} and {2}+{0,3,4} share the triple
+    # (min, max, size) but differ, {1}+{1,2,5} repeats the first of them,
+    # and {5,6}+{0,1} is not strong
+    g = Graph(7, [(0, 1), (0, 2), (3, 4), (3, 5), (4, 6)])
+    small = {0: [2], 1: [0, 1, 4], 2: [0, 3, 4], 3: [1], 4: [5, 6], 5: [1, 2, 5], 6: [0, 1]}
+    f = Labeling({v: SetLabel(a).shift(WIDE) for v, a in small.items()})
+    r = verify(g, f)
+    assert json.dumps(r.as_dict()) == json.dumps(reference_verify(g, f))
+    assert [(v.kind, v.witness) for v in r.violations] == [
+        ("duplicate-edge-labels", (0, 1, 3, 5)), ("weak-equality", (4, 6)), ("strong-equality", (4, 6)),
+    ]
