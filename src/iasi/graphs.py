@@ -8,9 +8,12 @@ labeling file prepared for the graph stays aligned with it.
 
 from __future__ import annotations
 
+import re
 from bisect import insort
 from collections import deque
+from functools import cache
 from itertools import chain, islice
+from operator import eq, itemgetter
 from typing import Iterable, NamedTuple
 
 
@@ -47,9 +50,11 @@ class Graph:
 
     def _build(self, vertex_count: int, pairs: list[Edge]) -> "Graph":
         """Set the fields from in-range pairs (u, v), u < v, once no pair
-        repeats and every id is on one."""
-        edges = set(pairs)
-        if len(edges) < len(pairs):
+        repeats and every id is on one.  A repeat shows as two equal
+        neighbours in the sorted pairs; only then is the input scanned, for
+        the first repeat in input order."""
+        edges = sorted(pairs)
+        if any(map(eq, edges, islice(edges, 1, None))):
             seen: set[Edge] = set()
             for e in pairs:  # the first repeat, in input order
                 if e in seen:
@@ -59,7 +64,7 @@ class Graph:
             # fewer edge endpoints than ids: fail before allocating anything
             # per id, so a lone edge to a huge id costs no memory
             raise GraphFormatError(_isolated_vertices(vertex_count, edges))
-        self._fill(vertex_count, tuple(sorted(pairs)))  # linear on sorted input
+        self._fill(vertex_count, tuple(edges))  # linear on sorted input
         if not all(self._adj):
             raise GraphFormatError(_isolated_vertices(vertex_count, edges))
         return self
@@ -134,7 +139,7 @@ def _id_summary(ids: Iterable[int], count: int) -> str:
     return f"[{', '.join(first)}]{more}"
 
 
-def _isolated_vertices(vertex_count: int, edges: set[Edge]) -> str:
+def _isolated_vertices(vertex_count: int, edges: list[Edge]) -> str:
     """The error for ids on no edge."""
     touched = set(chain.from_iterable(edges))
     isolated = (v for v in range(vertex_count) if v not in touched)
@@ -162,37 +167,78 @@ class Bipartition(NamedTuple):
     side_y: frozenset[int]
 
 
+_CHUNK = 1 << 14  # bulk chunk: a larger one holds more tokens alive at once, raising peak memory
+
+
+@cache
+def _edge_lines() -> re.Pattern[str]:
+    """Lines of two canonical ids between spaces or tabs (not \\d, which
+    takes non-ASCII digits; a longer id is left to the per-line error),
+    compiled at first use: a process that reads no edge list skips it."""
+    an_id = f"(?:0|[1-9][0-9]{{0,{MAX_ID_DIGITS - 1}}})"
+    return re.compile(rf"(?:[ \t]*{an_id}[ \t]+{an_id}[ \t]*(?:\n|\Z))*")
+
+
+def _edges_in_bulk(text: str, edges: list[Edge]) -> int:
+    """Append the (min, max) pair of each line in input order, a chunk at a
+    time, while every line of a chunk is two canonical ids and none a
+    self-loop; return where the first chunk that is not starts, or the
+    text's end."""
+    fullmatch = _edge_lines().fullmatch
+    pos = 0
+    while pos < len(text):
+        end = text.find("\n", pos + _CHUNK) + 1 or len(text)
+        if not fullmatch(text, pos, end):
+            break
+        try:
+            ids = list(map(int, text[pos:end].split()))
+        except ValueError:  # int() under a digit limit below MAX_ID_DIGITS
+            break
+        us, vs = ids[::2], ids[1::2]
+        if any(map(eq, us, vs)):  # a self-loop
+            break
+        edges += [(u, v) if u < v else (v, u) for u, v in zip(us, vs)]
+        pos = end
+    return pos
+
+
 def parse_edge_list(text: str) -> Graph:
     """Build a graph from edge-list text: one "u v" pair per line.
 
     Lines starting with '#' and blank lines are ignored.  Ids are canonical
     decimals, like labeling keys.  The vertex count is 1 + the largest id
     seen; every id below that must occur in some edge.
+
+    Lines of two ids between spaces or tabs, each ending in a newline, are
+    read in bulk; from the first chunk that holds any other line, the text
+    is read line by line, which gives every line-numbered error.
     """
     edges: list[Edge] = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        parts = line.split()
-        if len(parts) != 2:
-            raise GraphFormatError(f"line {lineno}: expected two vertex ids, got {_clip(line)!r}")
-        try:
-            u, v = _parse_id(parts[0]), _parse_id(parts[1])
-        except _IdTooLongError as exc:
-            raise GraphFormatError(f"line {lineno}: vertex id {exc}") from None
-        except ValueError:
-            raise GraphFormatError(f"line {lineno}: non-integer vertex id in {_clip(line)!r}") from None
-        if u > v:
-            u, v = v, u
-        if u < 0:
-            raise GraphFormatError(f"line {lineno}: negative vertex id in {_clip(line)!r}")
-        if u == v:
-            raise GraphFormatError(f"line {lineno}: self-loop at vertex {_clip(parts[0])}")
-        edges.append((u, v))
+    pos = _edges_in_bulk(text, edges)
+    if pos < len(text):  # the rest line by line; each line before pos is one edge
+        for lineno, raw in enumerate(text[pos:].splitlines(), start=len(edges) + 1):
+            line = raw.strip()
+            if not line or line.startswith("#"):
+                continue
+            parts = line.split()
+            if len(parts) != 2:
+                raise GraphFormatError(f"line {lineno}: expected two vertex ids, got {_clip(line)!r}")
+            try:
+                u, v = _parse_id(parts[0]), _parse_id(parts[1])
+            except _IdTooLongError as exc:
+                raise GraphFormatError(f"line {lineno}: vertex id {exc}") from None
+            except ValueError:
+                raise GraphFormatError(f"line {lineno}: non-integer vertex id in {_clip(line)!r}") from None
+            if u > v:
+                u, v = v, u
+            if u < 0:
+                raise GraphFormatError(f"line {lineno}: negative vertex id in {_clip(line)!r}")
+            if u == v:
+                raise GraphFormatError(f"line {lineno}: self-loop at vertex {_clip(parts[0])}")
+            edges.append((u, v))
     if not edges:
         raise GraphFormatError("edge list is empty")
-    return object.__new__(Graph)._build(1 + max(v for _, v in edges), edges)
+    return object.__new__(Graph)._build(1 + max(map(itemgetter(1), edges)), edges)
 
 
 def _two_coloring(g: Graph) -> tuple[list[int], list[int], set[int]]:

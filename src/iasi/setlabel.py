@@ -36,9 +36,9 @@ class SetLabel:
 
     def __init__(self, elements: Iterable[int]):
         distinct = set(elements)
-        # bool is a subclass of int, but True is not a label element
-        if not all(type(e) is int for e in distinct):
-            raise ValueError("set label elements must be integers")
+        for e in distinct:
+            if type(e) is not int:  # bool is a subclass of int, but True is not a label element
+                raise ValueError("set label elements must be integers")
         elems = sorted(distinct)
         if not elems:
             raise ValueError("a set label must be nonempty")

@@ -31,7 +31,14 @@ class Labeling:
     __slots__ = ("assignment", "_proof")
 
     def __init__(self, assignment: Mapping[int, SetLabel]):
-        object.__setattr__(self, "assignment", MappingProxyType(dict(sorted(assignment.items()))))
+        # types checked in bulk; by Graph()'s rule, bool is not an id
+        if not {int}.issuperset(map(type, assignment)):
+            bad = next(v for v in assignment if type(v) is not int)
+            raise LabelingError(f"vertex ids must be integers, not {type(bad).__name__}")
+        if not {SetLabel}.issuperset(map(type, assignment.values())):
+            bad = next(a for a in assignment.values() if type(a) is not SetLabel)
+            raise LabelingError(f"labels must be SetLabels, not {type(bad).__name__}")
+        object.__setattr__(self, "assignment", MappingProxyType({v: assignment[v] for v in sorted(assignment)}))
         object.__setattr__(self, "_proof", None)
 
     def __setattr__(self, name, value):

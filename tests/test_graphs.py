@@ -1,7 +1,9 @@
 """Graph parsing and structural predicates."""
 
+import sys
 from itertools import product
 from random import Random
+from unittest.mock import patch
 
 import pytest
 
@@ -19,7 +21,8 @@ from iasi import (
     parse_edge_list,
     path_graph,
 )
-from iasi.graphs import is_valid_bipartition
+from iasi import graphs
+from iasi.graphs import _CHUNK, _edges_in_bulk, is_valid_bipartition
 from helpers import graphs_without_isolated
 
 
@@ -100,6 +103,145 @@ class TestParseEdgeList:
     def test_empty_input(self):
         with pytest.raises(GraphFormatError):
             parse_edge_list("# nothing\n")
+
+
+def outcome(parse, text):
+    """The graph parse builds from text, or its error line."""
+    try:
+        return parse(text)
+    except GraphFormatError as exc:
+        return str(exc)
+
+
+def parse_by_line(text):
+    """The reference: parse_edge_list with no line read in bulk, every line
+    through the per-line loop."""
+    with patch.object(graphs, "_edges_in_bulk", lambda text, edges: 0):
+        return parse_edge_list(text)
+
+
+def edge_lines(rng, n):
+    """'u v' lines of a random graph on 0..n-1 with no isolated vertex, in
+    random order and orientation."""
+    order = rng.sample(range(n), n)
+    edges = {tuple(sorted(order[i:i + 2])) for i in range(n - 1)}
+    edges |= {tuple(sorted(rng.sample(range(n), 2))) for _ in range(rng.randint(0, n))}
+    lines = [f"{u} {v}" if rng.random() < 0.5 else f"{v} {u}" for u, v in sorted(edges)]
+    rng.shuffle(lines)
+    return lines
+
+
+# lines that only the per-line loop may read, or refuse
+OTHER_LINES = ["# a comment", "", "   ", "\t# indented comment", "0 1 # note"]
+BAD_LINES = [
+    "+0 1", "1_0 2", "00 1", "1 01", "\u0661 2", "1 \u0662", "\uff11 0", "-1 3", "2 -5",
+    "0 " + "1" * 4301, "1" * 4400 + " 0", "3 3", "0 1 2", "7", "x 1", "1 2.0",
+]
+# line ends and separators other than '\n' and ' ' or '\t' between ids
+OTHER_ENDS = ["\r\n", "\r", "\x0b", "\x0c", "\x1c", "\x85", "\u2028"]
+OTHER_SPACES = ["\xa0", "\u3000", "\x0b"]
+
+
+def mutate(rng, lines, n):
+    """lines with one random change, and whether the bulk pass must take
+    the text: its lines all still two canonical ids with '\\n' ends."""
+    lines = list(lines)
+    at = rng.randrange(len(lines) + 1)
+    kind = rng.randrange(9)
+    if kind == 0:  # unchanged
+        return lines, "\n", True
+    if kind == 1:  # spaces and tabs around and between the ids
+        for i in rng.sample(range(len(lines)), min(len(lines), 3)):
+            u, v = lines[i].split()
+            lead, mid, trail = rng.choice(["", " ", "\t"]), rng.choice(["\t", "  ", " \t "]), rng.choice(["", "\t "])
+            lines[i] = lead + u + mid + v + trail
+        return lines, "\n", True
+    if kind == 2:  # a repeat, possibly after every other line
+        u, v = rng.choice(lines).split()
+        lines.insert(rng.choice([at, len(lines)]), f"{v} {u}" if rng.random() < 0.5 else f"{u} {v}")
+        return lines, "\n", True
+    if kind == 3:  # a gap: id n on no edge
+        lines.insert(at, f"{rng.randrange(n)} {n + 1}")
+        return lines, "\n", True
+    if kind == 4:  # a huge sparse id
+        lines.insert(at, f"{rng.randrange(n)} {rng.choice([10**6, 10**12])}")
+        return lines, "\n", True
+    if kind == 5:
+        lines.insert(at, rng.choice(BAD_LINES))
+        return lines, "\n", False
+    if kind == 6:
+        lines.insert(at, rng.choice(OTHER_LINES))
+        return lines, "\n", False
+    if kind == 7:
+        i = rng.randrange(len(lines))
+        lines[i] = lines[i].replace(" ", rng.choice(OTHER_SPACES))
+        return lines, "\n", False
+    return lines, rng.choice(OTHER_ENDS), False
+
+
+def assert_paths_agree(text, bulk):
+    got, want = outcome(parse_edge_list, text), outcome(parse_by_line, text)
+    assert got == want, (got, want)
+    edges = []
+    pos = _edges_in_bulk(text, edges)
+    # the bulk pass stops at a line start or the end, and reads each line
+    # before it as one edge
+    assert pos in (0, len(text)) or text[pos - 1] == "\n"
+    assert edges == [(min(u, v), max(u, v)) for u, v in (map(int, x.split()) for x in text[:pos].splitlines())]
+    assert (pos == len(text)) == bulk
+    return pos
+
+
+def test_bulk_and_per_line_parses_agree():
+    # the bulk pass takes only text the per-line loop reads the same way;
+    # every other text, and every error, is the per-line loop's
+    rng = Random(0xB01C)
+    for _ in range(1500):
+        n = rng.randint(2, 30)
+        lines, end, bulk = mutate(rng, edge_lines(rng, n), n)
+        # a text the bulk pass takes may lack its final line end
+        text = end.join(lines) + ("" if bulk and rng.random() < 0.3 else end)
+        assert_paths_agree(text, bulk)
+
+
+@pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"), reason="no int() digit limit")
+def test_bulk_pass_yields_to_a_lower_int_digit_limit():
+    # an interpreter may refuse shorter ids than MAX_ID_DIGITS; the
+    # per-line loop then names the line, as without the bulk pass
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(640)
+    try:
+        text = "0 1\n1 " + "2" * 700 + "\n"
+        assert_paths_agree(text, False)
+        assert outcome(parse_edge_list, text).startswith("line 2: non-integer vertex id in '1 222")
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
+@pytest.mark.parametrize(
+    "change", ["none", "bad", "loop", "repeat", "crlf", "final", "comment", "blank", "trailing"]
+)
+def test_bulk_and_per_line_parses_agree_past_the_first_chunk(change):
+    # over 100 kB: the changed line sits past the first chunk, so the
+    # per-line loop takes over from a later chunk, with its line numbers
+    rng = Random(f"chunks-{change}")
+    n = 12_000
+    lines = edge_lines(rng, n)
+    tail = rng.randrange(len(lines) * 3 // 4, len(lines))
+    line = {"none": None, "bad": rng.choice(BAD_LINES), "loop": "17 17", "repeat": lines[5],
+            "comment": "# late", "blank": ""}.get(change)
+    if line is not None:
+        lines.insert(tail, line)
+    text = "\n".join(lines) + ("" if change == "final" else "\n")
+    if change == "crlf":
+        text = text[:-1] + "\r\n"
+    if change == "trailing":  # a blank last line
+        text += "\n"
+    assert len(text) > 2 * _CHUNK and sum(len(x) + 1 for x in lines[:tail]) > _CHUNK
+    assert assert_paths_agree(text, change in ("none", "repeat", "final")) > _CHUNK
+    if change == "none":
+        g = parse_edge_list(text)
+        assert g.vertex_count == n and len(g.edges) == len(lines)
 
 
 class TestBipartition:

@@ -423,6 +423,26 @@ class TestLabelingObject:
         assert f.__eq__({0: SetLabel([0, 1])}) is NotImplemented
         assert f != {0: SetLabel([0, 1])}
 
+    @pytest.mark.parametrize(
+        "assignment, message",
+        [
+            # True == 1 would verify, then be written as "True", which from_json refuses
+            ({0: SetLabel([0]), True: SetLabel([1, 2])}, "vertex ids must be integers, not bool"),
+            ({0: SetLabel([0]), 1.0: SetLabel([1])}, "vertex ids must be integers, not float"),
+            # a str key would make sorting the keys raise a bare TypeError
+            ({"0": SetLabel([0]), 1: SetLabel([1])}, "vertex ids must be integers, not str"),
+            # a list would pass, then make verify raise a bare AttributeError
+            ({0: SetLabel([0]), 1: [1, 2]}, "labels must be SetLabels, not list"),
+            ({0: SetLabel([0]), 1: frozenset([1])}, "labels must be SetLabels, not frozenset"),
+            ({0: None}, "labels must be SetLabels, not NoneType"),
+        ],
+        ids=["bool-key", "float-key", "str-key", "list-label", "frozenset-label", "none-label"],
+    )
+    def test_refuses_keys_and_labels_of_other_types(self, assignment, message):
+        with pytest.raises(LabelingError) as exc:
+            Labeling(assignment)
+        assert str(exc.value) == message
+
 
 class TestLabelingJson:
     def test_round_trip(self):
