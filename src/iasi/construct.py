@@ -18,7 +18,7 @@ from __future__ import annotations
 from collections import Counter, namedtuple
 
 from .graphs import Graph, Bipartition, _id_summary, _smooth, is_valid_bipartition
-from .setlabel import MAX_ELEMENTS, SetLabel, difference_set, is_sumset_maximal
+from .setlabel import MAX_ELEMENTS, SetLabel, difference_set, is_sumset_maximal, sumset
 from .verify import Labeling, _edge_pass, _proven, divisors_of
 
 
@@ -137,9 +137,9 @@ def topological_reduce(g: Graph, f: Labeling, v: int) -> tuple[Graph, Labeling]:
 
     The returned labeling carries a proof: it is a strong set-indexer of the
     returned graph, whose edge-label minima it counts.  Given that very graph
-    (`is`, not `==`), only the new edge is checked: it must be full, with a
-    minimum that no other edge has.  Without a proof, or in doubt, one pass
-    over all edges decides, with the same errors.
+    (`is`, not `==`), the old edges are taken as proven; otherwise one pass
+    over them decides.  Then the new edge alone is checked: it must be full,
+    and if an old edge not at v has its minimum, a label of its own.
     """
     if type(v) is not int:  # bool is not a vertex id
         raise ReductionError("vertex must be an integer")
@@ -150,34 +150,28 @@ def topological_reduce(g: Graph, f: Labeling, v: int) -> tuple[Graph, Labeling]:
     u, w = g.neighbors(v)
     if g.has_edge(u, w):
         raise ReductionError(f"neighbors {u} and {w} are adjacent; reduction undefined")
-    minima = None
     if f._proof is not None and f._proof[0] is g:
-        # the old edges are proven, so a new edge that is not full is refused
-        # for its shared differences, as the full pass would refuse it
-        if not is_sumset_maximal(f[u], f[w]):
-            raise _shared_differences(f, u, w)
-        lu, lv, lw = (f[x].elements[0] for x in (u, v, w))
         minima = f._proof[1].copy()
-        minima.subtract((lu + lv, lv + lw))  # the edges at v; zero counts stay
-        if minima[lu + lw]:
-            minima = None
-    if minima is None:
-        # old edges strong with distinct labels, the new one strong with a label
-        # no old edge carries (one at v cannot: strong sums cancel, see setlabel)
-        new = len(g.edges)
-        _, _, not_strong, firsts = _edge_pass(g, f, (*g.edges, (u, w)))
-        if not_strong and not_strong[0] != new:
-            raise ReductionError("labeling is not strong")
-        if len(set(f.assignment.values())) < len(f) or any(i != new for i in firsts):
-            raise ReductionError("labeling is not a set-indexer")
+    else:
+        _, _, not_strong, firsts = _edge_pass(g, f)
         if not_strong:
-            raise _shared_differences(f, u, w)
-        if new in firsts:
-            a, b = firsts[new][0]
-            raise ReductionError(f"new edge {u}-{w} would duplicate the label of edge {a}-{b}")
+            raise ReductionError("labeling is not strong")
+        if firsts or len(set(f.assignment.values())) < len(f):
+            raise ReductionError("labeling is not a set-indexer")
         lo = [a.elements[0] for a in f.assignment.values()]
-        minima = Counter(lo[a] + lo[b] for a, b in g.edges if a != v != b)
-    minima[f[u].elements[0] + f[w].elements[0]] += 1
+        minima = Counter(lo[a] + lo[b] for a, b in g.edges)
+    if not is_sumset_maximal(f[u], f[w]):
+        raise _shared_differences(f, u, w)
+    lu, lv, lw = (f[x].elements[0] for x in (u, v, w))
+    minima.subtract((lu + lv, lv + lw))  # the edges at v; zero counts stay
+    # equal labels have equal minima, and no edge at v can carry the new
+    # label: strong sums cancel, see setlabel
+    if minima[lu + lw]:
+        new = sumset(f[u], f[w])
+        for a, b in g.edges:
+            if a != v != b and f[a].elements[0] + f[b].elements[0] == lu + lw and sumset(f[a], f[b]) == new:
+                raise ReductionError(f"new edge {u}-{w} would duplicate the label of edge {a}-{b}")
+    minima[lu + lw] += 1
     reduced = _smooth(g, v)
     labels = list(f.assignment.values())
     del labels[v]

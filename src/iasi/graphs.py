@@ -135,7 +135,7 @@ def _clip(text: str) -> str:
 def _id_summary(ids: Iterable[int], count: int) -> str:
     """The first ten of count ids, then how many more: a short error line."""
     first = [_clip(str(v)) for v in islice(ids, 10)]
-    more = f" and {count - len(first)} more" if count > len(first) else ""
+    more = f" and {_clip(str(count - len(first)))} more" if count > len(first) else ""
     return f"[{', '.join(first)}]{more}"
 
 

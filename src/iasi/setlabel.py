@@ -64,16 +64,25 @@ class SetLabel:
         return hash(self.elements)
 
     def __repr__(self) -> str:
-        return f"SetLabel({list(self.elements)})"
+        return f"SetLabel([{', '.join(map(_element_text, self.elements))}])"
 
     def __str__(self) -> str:
-        return "{" + ",".join(str(e) for e in self.elements) + "}"
+        return "{" + ",".join(map(_element_text, self.elements)) + "}"
 
     def shift(self, t: int) -> "SetLabel":
         """Translate every element by an integer t >= 0."""
         if type(t) is not int or t < 0:  # bool is not a shift
             raise ValueError("shift must be a non-negative integer")
         return _from_sorted(tuple(e + t for e in self.elements))
+
+
+def _element_text(e: int) -> str:
+    """e in decimal, or its bit length where the decimal form would pass
+    the interpreter's int-to-str digit limit."""
+    try:
+        return str(e)
+    except ValueError:
+        return f"<{e.bit_length()}-bit integer>"
 
 
 def _from_sorted(elements: tuple[int, ...]) -> SetLabel:

@@ -147,10 +147,10 @@ def _require_total(g: Graph, f: Labeling) -> None:
 
 
 def _edge_pass(
-    g: Graph, f: Labeling, edges: tuple[Edge, ...]
+    g: Graph, f: Labeling
 ) -> tuple[list[int], list[int], list[int], dict[int, tuple[Edge, SetLabel]]]:
-    """Induced label sizes of the given edges between g's vertices, in one
-    loop over them, by the method verify describes.
+    """Induced label sizes of g's edges, in one loop over g.edges, by the
+    method verify describes.
 
     Returns (size, sizes, not_strong, firsts): each vertex's label size,
     each edge's label size, the positions of the edges that are not strong,
@@ -180,7 +180,7 @@ def _edge_pass(
     # (max <= 2*max(hi)) and the size nb bits (size <= max(size)**2)
     hb = (2 * max(hi, default=0)).bit_length()
     nb = (max(size, default=0) ** 2).bit_length()
-    for i, (u, v) in enumerate(edges):
+    for i, (u, v) in enumerate(g.edges):
         n = size[u] * size[v]
         du, dv = diffs[u], diffs[v]
         if du is None or dv is None:
@@ -202,10 +202,10 @@ def _edge_pass(
         buckets: dict[int, dict[SetLabel, int]] = {}
         for i, key in enumerate(keys):
             if count[key] > 1:
-                lab = sums[i] if i in sums else sumset(*(labels[x] for x in edges[i]))
+                lab = sums[i] if i in sums else sumset(*(labels[x] for x in g.edges[i]))
                 first = buckets.setdefault(key, {}).setdefault(lab, i)
                 if first != i:
-                    firsts[i] = (edges[first], lab)
+                    firsts[i] = (g.edges[first], lab)
     return size, sizes, not_strong, firsts
 
 
@@ -227,7 +227,7 @@ def verify(g: Graph, f: Labeling) -> VerificationReport:
     per edge.  Edges are processed in sorted order so the violation list is
     deterministic, and an edge's witness is its own tuple from g.edges.
     """
-    size, sizes, not_strong, firsts = _edge_pass(g, f, g.edges)
+    size, sizes, not_strong, firsts = _edge_pass(g, f)
     labels = f.assignment
     violations: list[Violation] = []
     is_iasi = not firsts
@@ -294,7 +294,7 @@ def check_strong_criterion(g: Graph, f: Labeling) -> bool:
     would cost more than the sumset.  It runs verify's edge pass, key index
     included, and reads only which edges are not strong.
     """
-    return not _edge_pass(g, f, g.edges)[2]
+    return not _edge_pass(g, f)[2]
 
 
 def divisors_of(k: int) -> list[int]:
@@ -359,7 +359,7 @@ def analyze_divisor_partition(g: Graph, f: Labeling, k: int) -> PartitionReport:
     """
     if type(k) is not int or k < 1:  # bool is not a size
         raise ValueError("k must be a positive integer")
-    size, sizes, not_strong, _ = _edge_pass(g, f, g.edges)
+    size, sizes, not_strong, _ = _edge_pass(g, f)
     if not_strong:
         raise ValueError(
             f"labeling is not strongly {k}-uniform "
@@ -391,27 +391,19 @@ def analyze_divisor_partition(g: Graph, f: Labeling, k: int) -> PartitionReport:
         clique = len(vs) >= 3 and is_clique(g, vs)
         comps.append(ComponentReport(vs, kind, comp_sizes, clique))
     sq_count = sum(c.kind == "square-class" for c in comps)
-    bip_count = len(comps) - sq_count
-
-    if k_is_square:
-        bip_bound = (n_div - 1) // 2
-        total_bound = (n_div + 1) // 2
-        total_ok = len(comps) <= total_bound
-    else:
-        bip_bound = n_div // 2
-        total_bound = None
-        total_ok = True
+    bip_bound = (n_div - 1 if k_is_square else n_div) // 2
+    total_bound = (n_div + 1) // 2 if k_is_square else None
     return PartitionReport(
         k=k,
         k_is_square=k_is_square,
         divisor_count=n_div,
         classes={d: tuple(classes[d]) for d in divs if d in classes},
         components=comps,
-        bipartite_component_count=bip_count,
+        bipartite_component_count=len(comps) - sq_count,
         square_component_count=sq_count,
         bipartite_bound=bip_bound,
         total_bound=total_bound,
-        bipartite_bound_satisfied=bip_count <= bip_bound,
-        total_bound_satisfied=total_ok,
+        bipartite_bound_satisfied=len(comps) - sq_count <= bip_bound,
+        total_bound_satisfied=total_bound is None or len(comps) <= total_bound,
         clique_component_present=any(c.clique for c in comps),
     )

@@ -320,6 +320,31 @@ class TestVerifyCommand:
         assert_one_line_error(code, out, err)
         assert len(err) < 200
 
+    @staticmethod
+    def assert_huge_sum_is_written_short(capsys, tmp_path, p3, digits):
+        # both edge labels are {10**digits}, one digit past what the labels
+        # may hold: the message writes the sum by its bit length
+        labels = tmp_path / "huge.json"
+        labels.write_text(f'{{"0": [1], "1": [{"9" * digits}], "2": [1]}}')
+        code, out, err = run(capsys, ["verify", "--graph", p3, "--labels", str(labels)])
+        assert (code, err) == (0, "")
+        violations = json.loads(out)["violations"]
+        assert [v["kind"] for v in violations] == ["duplicate-vertex-labels", "duplicate-edge-labels"]
+        bits = (10**digits).bit_length()
+        assert violations[1]["message"] == f"edges 0-1 and 1-2 share the induced label {{<{bits}-bit integer>}}"
+
+    def test_a_sum_past_the_int_digit_limit(self, capsys, tmp_path, p3):
+        self.assert_huge_sum_is_written_short(capsys, tmp_path, p3, 4300)
+
+    @pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"), reason="no int() digit limit")
+    def test_a_sum_past_a_lowered_int_digit_limit(self, capsys, tmp_path, p3):
+        limit = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(640)
+        try:
+            self.assert_huge_sum_is_written_short(capsys, tmp_path, p3, 640)
+        finally:
+            sys.set_int_max_str_digits(limit)
+
 
 class TestConstructCommand:
     def test_strong_round_trip(self, capsys, tmp_path, k33):
@@ -601,6 +626,13 @@ class TestReportWriter:
             assert out.read_text(encoding="utf-8") == expected, command
 
 
+# the exact line of the cases no other test reaches
+ONE_LINE_ERRORS = {
+    "factors-zero": "factors must be positive integers",
+    "factors-product-not-k": "factors 2*2 != k=6",
+}
+
+
 @pytest.mark.parametrize(
     "argv",
     [
@@ -612,6 +644,8 @@ class TestReportWriter:
         ["construct", "--graph", "{p2}", "--k", "6", "--factors", "2"],
         ["construct", "--graph", "{p2}", "--k", "6", "--factors", "a,b"],
         ["construct", "--graph", "{p2}", "--k", "6", "--factors", "+2,3"],
+        ["construct", "--graph", "{p2}", "--k", "6", "--factors", "0,6"],
+        ["construct", "--graph", "{p2}", "--k", "6", "--factors", "2,2"],
         ["construct", "--mode", "complete", "--vertices", "3"],
         ["construct", "--mode", "weak", "--graph", "{p2}"],
         # above the element bound: checked before any allocation
@@ -635,20 +669,24 @@ class TestReportWriter:
         ["verify", "--graph", "{p2}", "--labels", "{dir}/long-unknown.json"],
         # 999 shared differences are summarized, not listed
         ["reduce", "--graph", "{p3}", "--labels", "{dir}/many-shared.json", "--vertex", "1"],
+        # the count of ids not listed is clipped too
+        ["search", "--graph", "{dir}/isolated.txt", "--target", "strong", "--k", "4", "--universe", "10"],
     ],
     ids=[
         "complete-one-vertex", "any-strong-with-k", "out-is-a-directory",
         "k-zero", "k-above-max", "factors-one-part", "factors-not-integers",
-        "factors-plus-sign", "complete-without-l", "weak-without-k",
+        "factors-plus-sign", "factors-zero", "factors-product-not-k",
+        "complete-without-l", "weak-without-k",
         "universe-above-bound", "universe-above-int64", "strong-prime-k-above-bound",
         "complete-l-above-bound", "weak-with-factors", "complete-with-graph-and-k",
         "complete-with-factors", "strong-with-vertices", "weak-with-l", "factors-empty",
         "edge-id-above-digit-limit", "long-labeling-key", "long-unknown-vertex",
-        "reduce-many-shared-differences",
+        "reduce-many-shared-differences", "many-isolated-vertices",
     ],
 )
-def test_rejected_input_is_a_one_line_error(capsys, tmp_path, p2, p3, argv):
+def test_rejected_input_is_a_one_line_error(capsys, tmp_path, p2, p3, argv, request):
     (tmp_path / "long-id.txt").write_text("0 " + "1" * 5000 + "\n")
+    (tmp_path / "isolated.txt").write_text("0 1\n1 " + "2" * 4300)
     (tmp_path / "long-key.json").write_text(json.dumps({"a" * 3000: [0]}))
     (tmp_path / "long-unknown.json").write_text(json.dumps({"0": [0], "1": [1], "7" * 4000: [2]}))
     (tmp_path / "many-shared.json").write_text(
@@ -657,6 +695,8 @@ def test_rejected_input_is_a_one_line_error(capsys, tmp_path, p2, p3, argv):
     code, out, err = run(capsys, [a.format(p2=p2, p3=p3, dir=tmp_path) for a in argv])
     assert_one_line_error(code, out, err)
     assert len(err.encode()) < 200, err
+    message = ONE_LINE_ERRORS.get(request.node.callspec.id)
+    assert message is None or err == f"error: {message}\n"
 
 
 @pytest.mark.parametrize(

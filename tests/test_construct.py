@@ -432,7 +432,8 @@ class TestTopologicalReduce:
 class TestChainedReductions:
     """A labeling returned by topological_reduce proves itself a strong
     set-indexer of the graph returned with it, so the next reduction of
-    that very graph checks only the new edge."""
+    that very graph runs no full pass: it checks only the new edge, and
+    compares its label only with the old edges of its minimum."""
 
     @staticmethod
     def count_edge_passes(monkeypatch):
@@ -490,13 +491,13 @@ class TestChainedReductions:
                 g, f = got
                 rebuilt = Graph(g.vertex_count, g.edges)  # validated, sorted
                 assert g == rebuilt and all(g.neighbors(x) == rebuilt.neighbors(x) for x in g.vertices())
-        # reduced on the new edge alone, and after a shared minimum; refused
-        # for shared differences without a full pass ("difference ..."), a
-        # duplicate label ("new edge ...") and adjacent neighbours; a proof is
-        # never wrong about the old edges ("labeling is not ...")
-        assert seen["reduced", 0] and seen["reduced", 1]
-        assert seen["difference", 0] and seen["new", 1] and seen["neighbors", 0]
-        assert not seen["difference", 1] and not seen["labeling", 1]
+        # every proven step runs 0 full passes: it reduces, or it refuses for
+        # shared differences ("difference ..."), a duplicate label ("new
+        # edge ...") or adjacent neighbours; a proof is never wrong about the
+        # old edges ("labeling is not ...")
+        assert all(passes == 0 for _, passes in seen)
+        assert seen["reduced", 0] and seen["difference", 0] and seen["new", 0] and seen["neighbors", 0]
+        assert not seen["labeling", 0]
 
     def test_proof_for_an_equal_graph_runs_the_full_pass(self, monkeypatch):
         calls = self.count_edge_passes(monkeypatch)
@@ -521,13 +522,13 @@ class TestChainedReductions:
         message = "new edge 0-2 would duplicate the label of edge 3-4"
         with pytest.raises(ReductionError, match=f"^{message}$"):
             topological_reduce(g1, f1, 1)
-        assert len(calls) == 2
+        assert len(calls) == 1
         with pytest.raises(ReductionError, match=f"^{message}$"):
             topological_reduce(g1, Labeling(dict(f1.assignment)), 1)
 
     def test_the_edges_at_v_leave_the_count(self, monkeypatch):
         # after the first reduction, the new edge 0-2 of P_3 has the minimum
-        # 0 + 10 of the edge 0-1 it replaces, which is no doubt
+        # 0 + 10 of the edge 0-1 it replaces, which leaves the count
         calls = self.count_edge_passes(monkeypatch)
         g = path_graph(4)
         f = Labeling({0: SetLabel([0, 1]), 1: SetLabel([50]), 2: SetLabel([10]), 3: SetLabel([10, 13])})
@@ -535,6 +536,41 @@ class TestChainedReductions:
         g2, f2 = topological_reduce(g1, f1, 1)
         assert len(calls) == 1
         assert g2.edges == ((0, 1),) and verify(g2, f2).edge_sizes == {(0, 1): 4}
+
+    @staticmethod
+    def shared_minimum(second):
+        """A proven labeling of 0-1, 2-3, 4-5-6 and 7-8, and the graph it
+        proves: the new edge 4-6 is {0, 1} + {10, 12} = {10, 11, 12, 13},
+        whose minimum 10 the old edges 0-1, {10, 106}, and 2-3, {10} +
+        second, share."""
+        g = Graph(10, [(0, 1), (2, 3), (4, 5), (5, 6), (7, 8), (8, 9)])
+        labels = [[4], [6, 100], [10], second, [0, 1], [30], [10, 12], [200], [300], [500]]
+        return topological_reduce(g, Labeling({x: SetLabel(a) for x, a in enumerate(labels)}), 8)
+
+    def test_a_shared_minimum_with_another_label_reduces_without_a_full_pass(self, monkeypatch):
+        g1, f1 = self.shared_minimum([0, 1, 2, 4])
+        calls = self.count_edge_passes(monkeypatch)
+        g2, f2 = topological_reduce(g1, f1, 5)
+        assert not calls
+        assert g2.edges == ((0, 1), (2, 3), (4, 5), (6, 7))
+        assert sumset(f2[4], f2[5]) == SetLabel([10, 11, 12, 13])
+        assert (g2, f2) == topological_reduce(g1, Labeling(dict(f1.assignment)), 5)
+        assert len(calls) == 1
+        r = verify(g2, f2)
+        assert r.is_strong and r.is_iasi
+
+    def test_a_shared_minimum_names_the_edge_with_the_same_label(self, monkeypatch):
+        # 0-1 comes first in edge order with the minimum 10, but only 2-3
+        # carries the label {10, 11, 12, 13}
+        g1, f1 = self.shared_minimum([0, 1, 2, 3])
+        calls = self.count_edge_passes(monkeypatch)
+        message = "new edge 4-6 would duplicate the label of edge 2-3"
+        with pytest.raises(ReductionError, match=f"^{message}$"):
+            topological_reduce(g1, f1, 5)
+        assert not calls
+        with pytest.raises(ReductionError, match=f"^{message}$"):
+            topological_reduce(g1, Labeling(dict(f1.assignment)), 5)
+        assert len(calls) == 1
 
     def test_a_new_edge_that_is_not_full_is_refused_without_a_full_pass(self, monkeypatch):
         # P_4 with n evens, {1}, {5} and n multiples of 3: after the first

@@ -48,6 +48,12 @@ class TestSetLabel:
     def test_canonical_text_form(self):
         assert str(SetLabel([7, 5, 0])) == "{0,5,7}"
 
+    def test_text_forms_of_an_element_past_the_int_digit_limit(self):
+        assert repr(SetLabel([7, 5, 0])) == "SetLabel([0, 5, 7])"
+        a = SetLabel([3, 10**4300])
+        assert str(a) == "{3,<14285-bit integer>}"
+        assert repr(a) == "SetLabel([3, <14285-bit integer>])"
+
 
 class TestSumset:
     def test_singleton_translates(self):
