@@ -11,8 +11,8 @@ for identical invocations.
 from __future__ import annotations
 
 import argparse
+import json
 import sys
-from json.encoder import encode_basestring_ascii as _string
 
 from . import __version__
 from .construct import (
@@ -40,40 +40,15 @@ def _read_labels(path: str) -> Labeling:
         return Labeling.from_json(fh.read())
 
 
-def _dumps(o, pad: str = "\n") -> str:
-    """o as json.dumps(o, indent=2) writes it, for the types of a report:
-    dicts with str keys, lists, tuples, str, int, bool and None."""
-    t = type(o)
-    if t is str:
-        return _string(o)
-    if t is int:
-        return int.__repr__(o)
-    inner = pad + "  "
-    if t is dict:
-        if not o:
-            return "{}"
-        items = [_string(key) + ": " + _dumps(value, inner) for key, value in o.items()]
-        return "{" + inner + ("," + inner).join(items) + pad + "}"
-    if t is list or t is tuple:
-        if not o:
-            return "[]"
-        items = [_dumps(e, inner) for e in o]
-        return "[" + inner + ("," + inner).join(items) + pad + "]"
-    if o is None:
-        return "null"
-    if t is bool:
-        return "true" if o else "false"
-    raise TypeError(f"{t.__name__} is not a report value")
-
-
 def _emit(payload: dict, out: str | None) -> None:
-    """Write payload as json.dumps(payload, indent=2) followed by a newline."""
-    text = _dumps(payload)
+    """Write payload as json.dumps(payload) writes it, followed by a newline:
+    the C encoder's compact text, which json.tool --indent 2 indents."""
+    text = json.dumps(payload) + "\n"
     if out:
         with open(out, "w", encoding="utf-8") as fh:
-            fh.write(text + "\n")
+            fh.write(text)
     else:
-        sys.stdout.write(text + "\n")
+        sys.stdout.write(text)
 
 
 def _int(text: str) -> int:

@@ -16,9 +16,9 @@ import pytest
 import iasi
 from iasi import (
     ConstructionParams, Labeling, SetLabel, analyze_divisor_partition, bipartition_of,
-    construct_bipartite_strong, parse_edge_list, search, verify,
+    construct_bipartite_strong, construct_complete_strong, parse_edge_list, search, verify,
 )
-from iasi.cli import _dumps, build_parser, main
+from iasi.cli import build_parser, main
 
 
 @pytest.fixture
@@ -61,8 +61,36 @@ def assert_one_line_error(code, out, err):
 
 
 # Exact stdout of fixed invocations: identical input must keep giving
-# byte-identical JSON.
-K33_STRONG6 = """\
+# byte-identical JSON, as json.dumps(payload) writes it.
+K33_STRONG6 = '{"0": [3, 4], "1": [6, 7], "2": [9, 10], "3": [0, 2, 4], "4": [1, 3, 5], "5": [2, 4, 6]}\n'
+COMPLETE_4_2 = '{"0": [0, 8], "1": [33, 42], "2": [68, 78], "3": [105, 116]}\n'
+SEARCH_P3_STRONG4 = '{"status": "found", "nodes_visited": 4, "witness": {"0": [0], "1": [0, 1, 2, 3], "2": [1]}}\n'
+REDUCE_P3 = '{"vertex_count": 2, "edges": [[0, 1]], "labels": {"0": [0, 1], "1": [30, 34]}}\n'
+# P_4 labeled {0},{0,1},{0,1},{0}: all four violation kinds
+VERIFY_P4_ALL_KINDS = (
+    '{"is_iasi": false, "is_weak": false, "is_strong": false, "uniform_k": null, '
+    '"vertex_uniform_l": null, "completely_uniform": false, '
+    '"edge_sizes": {"0-1": 2, "1-2": 3, "2-3": 2}, "violations": ['
+    '{"kind": "duplicate-vertex-labels", "message": "vertices 1 and 2 share the label {0,1}", '
+    '"witness": [1, 2]}, '
+    '{"kind": "duplicate-vertex-labels", "message": "vertices 0 and 3 share the label {0}", '
+    '"witness": [0, 3]}, '
+    '{"kind": "weak-equality", "message": "edge 1-2: |label| = 3 != max(2,2)", "witness": [1, 2]}, '
+    '{"kind": "strong-equality", "message": "edge 1-2: |label| = 3 != 2*2", "witness": [1, 2]}, '
+    '{"kind": "duplicate-edge-labels", "message": "edges 0-1 and 2-3 share the induced label {0,1}", '
+    '"witness": [0, 1, 2, 3]}]}\n'
+)
+ANALYZE_K3_SQUARE4 = (
+    '{"k": 4, "k_is_square": true, "divisor_count": 3, "classes": {"2": [0, 1, 2]}, '
+    '"components": [{"vertices": [0, 1, 2], "kind": "square-class", "sizes": [2], "clique": true}], '
+    '"bipartite_component_count": 0, "square_component_count": 1, "bipartite_bound": 1, '
+    '"total_bound": 2, "bipartite_bound_satisfied": true, "total_bound_satisfied": true, '
+    '"clique_component_present": true}\n'
+)
+
+# The same stdout as json.dumps(payload, indent=2) wrote it until the
+# compact form replaced it; indenting the compact text gives it exactly.
+K33_STRONG6_INDENT2 = """\
 {
   "0": [
     3,
@@ -94,7 +122,7 @@ K33_STRONG6 = """\
 }
 """
 
-COMPLETE_4_2 = """\
+COMPLETE_4_2_INDENT2 = """\
 {
   "0": [
     0,
@@ -115,7 +143,7 @@ COMPLETE_4_2 = """\
 }
 """
 
-SEARCH_P3_STRONG4 = """\
+SEARCH_P3_STRONG4_INDENT2 = """\
 {
   "status": "found",
   "nodes_visited": 4,
@@ -136,7 +164,7 @@ SEARCH_P3_STRONG4 = """\
 }
 """
 
-REDUCE_P3 = """\
+REDUCE_P3_INDENT2 = """\
 {
   "vertex_count": 2,
   "edges": [
@@ -158,9 +186,7 @@ REDUCE_P3 = """\
 }
 """
 
-
-# P_4 labeled {0},{0,1},{0,1},{0}: all four violation kinds
-VERIFY_P4_ALL_KINDS = """\
+VERIFY_P4_ALL_KINDS_INDENT2 = """\
 {
   "is_iasi": false,
   "is_weak": false,
@@ -220,7 +246,7 @@ VERIFY_P4_ALL_KINDS = """\
 }
 """
 
-ANALYZE_K3_SQUARE4 = """\
+ANALYZE_K3_SQUARE4_INDENT2 = """\
 {
   "k": 4,
   "k_is_square": true,
@@ -381,6 +407,8 @@ class TestConstructCommand:
         payload = json.loads(out)
         assert set(payload) == {"0", "1", "2", "3"}
         assert all(len(v) == 2 for v in payload.values())
+        # the library's one JSON form of a labeling
+        assert out == construct_complete_strong(4, 2).to_json() + "\n"
 
     def test_explicit_factors(self, capsys, tmp_path, k33):
         code, out, _ = run(
@@ -415,17 +443,27 @@ class TestConstructCommand:
         k3 = tmp_path / "k3.txt"
         k3.write_text("0 1\n1 2\n2 0\n")
         pinned = [
-            (argv, K33_STRONG6),
-            (["construct", "--mode", "complete", "--vertices", "4", "--l", "2"], COMPLETE_4_2),
+            (argv, K33_STRONG6, K33_STRONG6_INDENT2),
+            (["construct", "--mode", "complete", "--vertices", "4", "--l", "2"], COMPLETE_4_2,
+             COMPLETE_4_2_INDENT2),
             (["search", "--graph", p3, "--target", "strong", "--k", "4", "--universe", "4"],
-             SEARCH_P3_STRONG4),
-            (["reduce", "--graph", p3, "--labels", str(labels), "--vertex", "1"], REDUCE_P3),
-            (["verify", "--graph", str(p4), "--labels", str(p4_labels)], VERIFY_P4_ALL_KINDS),
+             SEARCH_P3_STRONG4, SEARCH_P3_STRONG4_INDENT2),
+            (["reduce", "--graph", p3, "--labels", str(labels), "--vertex", "1"], REDUCE_P3,
+             REDUCE_P3_INDENT2),
+            (["verify", "--graph", str(p4), "--labels", str(p4_labels)], VERIFY_P4_ALL_KINDS,
+             VERIFY_P4_ALL_KINDS_INDENT2),
             (["analyze", "--graph", str(k3), "--labels", str(labels), "--k", "4"],
-             ANALYZE_K3_SQUARE4),
+             ANALYZE_K3_SQUARE4, ANALYZE_K3_SQUARE4_INDENT2),
         ]
-        for pinned_argv, expected in pinned:
+        for pinned_argv, expected, indented in pinned:
             assert run(capsys, pinned_argv) == (0, expected, ""), pinned_argv
+            assert json.dumps(json.loads(expected), indent=2) + "\n" == indented, pinned_argv
+        # json.tool indents each line of the compact text to the indented pin
+        done = subprocess.run(
+            [sys.executable, "-m", "json.tool", "--json-lines", "--indent", "2"],
+            input="".join(p[1] for p in pinned), capture_output=True, text=True, timeout=60,
+        )
+        assert (done.returncode, done.stdout) == (0, "".join(p[2] for p in pinned))
 
 
 class TestSearchCommand:
@@ -481,9 +519,7 @@ class TestSearchCommand:
         assert sizes == [1, 4]
         assert code == 0
         assert out == json.dumps(
-            {"status": "found", "nodes_visited": 2,
-             "witness": {"0": [0], "1": [0, 1, 2, 3]}},
-            indent=2,
+            {"status": "found", "nodes_visited": 2, "witness": {"0": [0], "1": [0, 1, 2, 3]}}
         ) + "\n"
 
     def test_usage_error_exit_2(self, capsys, p2):
@@ -554,56 +590,60 @@ def divisor_forest(components):
     return text, Labeling({v: SetLabel(a) for v, a in labels.items()})
 
 
+def report_values(value):
+    """value, and every key and value nested in it, depth first."""
+    yield value
+    if type(value) is dict:
+        for key, item in value.items():
+            yield key
+            yield from report_values(item)
+    elif type(value) in (list, tuple):
+        for item in value:
+            yield from report_values(item)
+
+
 class TestReportWriter:
-    """_emit writes json.dumps(payload, indent=2) and a newline, through
-    its own writer."""
+    """_emit writes json.dumps(payload) and a newline, to stdout and to
+    --out alike."""
 
-    def test_matches_json_dumps(self):
-        hypothesis = pytest.importorskip("hypothesis")
-        st = hypothesis.strategies
-        # non-ASCII, quote, backslash, control characters and a lone surrogate
-        chars = st.sampled_from('a"\\\x00\x1f\x7f\n\t\u00e9\u20ac\U0001f600\u2028\ud800')
-        text = st.text(chars | st.characters(), max_size=6)
-        ints = st.integers() | st.sampled_from([0, -1, 2**64, 2**64 + 1, -(2**70)])
-        leaves = st.none() | st.booleans() | ints | text
-        values = st.recursive(
-            leaves,
-            lambda inner: st.lists(inner, max_size=4)
-            | st.lists(inner, max_size=4).map(tuple)
-            | st.dictionaries(text, inner, max_size=4),
-            max_leaves=24,
-        )
+    @pytest.mark.parametrize("command", [
+        "verify", "construct-strong", "construct-weak", "construct-complete", "search-found",
+        "search-exhausted-none", "reduce", "analyze",
+    ])
+    def test_payloads_hold_only_report_types(self, capsys, monkeypatch, tmp_path, k33, p3, c5,
+                                             command):
+        # the C encoder would write a float, and an int or tuple key as a
+        # string, without a word; no command's payload holds one
+        labels = tmp_path / "l.json"
+        labels.write_text('{"0": [0, 1], "1": [10, 12], "2": [30, 34]}')
+        k3 = tmp_path / "k3.txt"
+        k3.write_text("0 1\n1 2\n2 0\n")
+        argv = {
+            # a strong labeling that fails weak equality: violations with witnesses
+            "verify": ["verify", "--graph", p3, "--labels", str(labels)],
+            "construct-strong": ["construct", "--graph", k33, "--k", "6"],
+            "construct-weak": ["construct", "--graph", k33, "--mode", "weak", "--k", "5"],
+            "construct-complete": ["construct", "--mode", "complete", "--vertices", "4", "--l", "2"],
+            "search-found": ["search", "--graph", p3, "--target", "strong", "--k", "4", "--universe", "4"],
+            "search-exhausted-none": ["search", "--graph", c5, "--target", "strong", "--k", "2",
+                                      "--universe", "8"],
+            "reduce": ["reduce", "--graph", p3, "--labels", str(labels), "--vertex", "1"],
+            "analyze": ["analyze", "--graph", str(k3), "--labels", str(labels), "--k", "4"],
+        }[command]
+        payloads = []
+        monkeypatch.setattr(iasi.cli, "_emit", lambda payload, out: payloads.append(payload))
+        assert main(argv) == 0
+        capsys.readouterr()
+        [payload] = payloads
+        assert type(payload) is dict and payload
+        for value in report_values(payload):
+            assert type(value) in (dict, list, tuple, str, int, bool, type(None)), (command, value)
+            if type(value) is dict:
+                assert {str}.issuperset(map(type, value)), (command, value)
+        if command.startswith("search"):
+            assert payload["status"] == command.removeprefix("search-")
 
-        @hypothesis.settings(derandomize=True, max_examples=200, database=None, deadline=None)
-        @hypothesis.given(values)
-        @hypothesis.example({"a": {}, "b": [[], {}, ()], "": [[[]]]})
-        def check(value):
-            assert _dumps(value) == json.dumps(value, indent=2)
-
-        check()
-
-    @pytest.mark.parametrize("value", [1.5, {"a": [0, 0.5]}, {1: 2}, {"a": {("b",): 1}}],
-                             ids=["float", "nested-float", "int-key", "tuple-key"])
-    def test_rejects_what_no_report_holds(self, value):
-        with pytest.raises(TypeError):
-            _dumps(value)
-
-    @pytest.mark.parametrize(
-        "value",
-        [
-            list(range(-10_000, 10_000)),
-            {f"{u}-{u + 1}": [u, u + 1] for u in range(50)},
-            [{"kind": "weak-equality", "witness": [u, 2 * u]} for u in range(5)],
-            [0, True, 1, False, -1, [True, 2], (3, False), 2**64],
-            [-1, -(2**63), 2**64, 2**64 + 1, -(2**70), 10**40],
-        ],
-        ids=["20000-ints", "witness-dict", "witness-list", "ints-and-bools", "negative-and-huge"],
-    )
-    def test_int_lists_match_json_dumps(self, value):
-        # the hypothesis strategy above draws only short lists
-        assert _dumps(value) == json.dumps(value, indent=2)
-
-    def test_cli_writes_json_dumps_indent_2(self, capsys, tmp_path):
+    def test_cli_writes_json_dumps(self, capsys, tmp_path):
         # strong k = 6 K_{20,20}, and a small divisor forest
         kbb = "".join(f"{i} {20 + j}\n" for i in range(20) for j in range(20))
         g = parse_edge_list(kbb)
@@ -619,7 +659,7 @@ class TestReportWriter:
             graph, labels, out = (tmp_path / f"{command}.{ext}" for ext in ("txt", "json", "out"))
             graph.write_text(edges)
             labels.write_text(labeling.to_json())
-            expected = json.dumps(payload, indent=2) + "\n"
+            expected = json.dumps(payload) + "\n"
             argv = [command, "--graph", str(graph), "--labels", str(labels), *extra]
             assert run(capsys, argv) == (0, expected, ""), command
             assert run(capsys, [*argv, "--out", str(out)]) == (0, "", ""), command

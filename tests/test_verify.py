@@ -2,6 +2,7 @@
 
 import importlib
 import json
+import tracemalloc
 from collections import Counter
 from itertools import product
 from random import Random
@@ -307,6 +308,58 @@ def test_edge_witnesses_are_the_graph_edge_tuples():
     for viol, e in zip(r.violations, [e for e in g.edges for _ in range(2)]):
         assert type(viol) is verify_module.Violation
         assert viol.witness is e
+
+
+# the prime modulo which verify keys labels with an element of 2**61 or more
+P = 2**61 - 1
+
+
+class TestHugeElements:
+    @pytest.mark.parametrize("wide", [False, True], ids=["below-2**61", "with-a-2**70-element"])
+    def test_residue_sums_that_pass_the_prime_keep_a_duplicate(self, wide):
+        # {P-1}+{2} and {P}+{1} are both {P+1}; their residues sum to P+1
+        # and 1, so keys built from unreduced residue sums would differ
+        # and the duplicate would be lost.  A third edge with an element of
+        # 2**70 puts every key on the modular path.
+        edges, labels = [(0, 1), (2, 3)], {0: [P - 1], 1: [2], 2: [P], 3: [1]}
+        if wide:
+            edges.append((4, 5))
+            labels |= {4: [2**70], 5: [0]}
+        g, f = Graph(len(labels), edges), labeling(labels)
+        r = verify(g, f)
+        assert json.dumps(r.as_dict()) == json.dumps(reference_verify(g, f))
+        assert [(v.kind, v.witness) for v in r.violations] == [("duplicate-edge-labels", (0, 1, 2, 3))]
+
+    def test_colliding_reduced_keys_of_unequal_labels(self, calls):
+        # {0}+{0,5,2**70} and {P}+{0,7,2**70} differ, but their min and max
+        # sums agree modulo P, so the two keys collide and both edges take
+        # the exact comparison
+        g = Graph(4, [(0, 1), (2, 3)])
+        f = labeling({0: [0], 1: [0, 5, 2**70], 2: [P], 3: [0, 7, 2**70]})
+        r = verify(g, f)
+        assert json.dumps(r.as_dict()) == json.dumps(reference_verify(g, f))
+        assert r.is_iasi and r.is_strong and not r.violations
+        assert set(calls["sumset"]) == {(f[0].elements, f[1].elements), (f[2].elements, f[3].elements)}
+
+    def test_one_huge_element_does_not_widen_every_key(self):
+        # strong k = 6 K_{60,60} with vertex 0 relabeled {10**4299}: keys as
+        # wide as that element, about 1.8 KB each, would raise the peak about
+        # 8 times; K_{300,300} shows the same ratio, but tracing it is slow
+        g = complete_bipartite_graph(60, 60)
+        f = construct_bipartite_strong(g, bipartition_of(g), ConstructionParams(6))
+        huge = Labeling({**f.assignment, 0: SetLabel([10**4299])})
+
+        def peak(labels):
+            tracemalloc.start()
+            try:
+                r = verify(g, labels)
+                return r, tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        (r, small), (r_huge, large) = peak(f), peak(huge)
+        assert r.is_strong and r_huge.is_strong and r_huge.is_iasi
+        assert large < 1.5 * small, (large, small)
 
 
 class TestRestrictionClosure:

@@ -51,6 +51,19 @@ def test_verify_matches_the_reference_loop_past_a_machine_word(case, shifts):
     assert check_strong_criterion(g, wide) == want["is_strong"]
 
 
+# verify reduces the sums of labels with an element of 2**61 or more
+# modulo the prime P = 2**61 - 1.  Moved up by 2**62 - 2 - t, which is
+# P - t modulo P, an element below t has a residue just under P and any
+# other one a small residue, so residue sums of equal edge labels can
+# differ by P.
+@settings(derandomize=True, max_examples=200, database=None, deadline=None)
+@given(labeled_graphs(), st.integers(1, 8), st.lists(st.booleans(), min_size=7, max_size=7))
+def test_verify_matches_the_reference_loop_where_residues_wrap(case, t, moved):
+    g, f = case
+    wide = Labeling({v: f[v].shift((2**62 - 2 - t) * moved[v]) for v in g.vertices()})
+    assert json.dumps(verify(g, wide).as_dict()) == json.dumps(reference_verify(g, wide))
+
+
 def test_wide_labels_with_shared_keys_match_the_reference():
     # moved up by 2**70: {2}+{0,1,4} and {2}+{0,3,4} share the triple
     # (min, max, size) but differ, {1}+{1,2,5} repeats the first of them,
