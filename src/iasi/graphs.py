@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import re
 from bisect import insort
-from collections import deque
 from functools import cache
 from itertools import chain, islice
 from operator import eq, itemgetter
@@ -257,9 +256,8 @@ def _two_coloring(g: Graph) -> tuple[list[int], list[int], set[int]]:
             continue
         color[start] = 0
         root[start] = start
-        queue = deque([start])
-        while queue:
-            u = queue.popleft()
+        queue = [start]
+        for u in queue:  # FIFO: the loop reaches what it appends
             for w in g.neighbors(u):
                 if color[w] == -1:
                     color[w] = 1 - color[u]

@@ -138,6 +138,9 @@ class VerificationReport(NamedTuple):
 
 
 def _require_total(g: Graph, f: Labeling) -> None:
+    ids, n = f.assignment, g.vertex_count
+    if len(ids) == n and (not n or next(iter(ids)) == 0 and next(reversed(ids)) == n - 1):
+        return  # a Labeling's ids are sorted and distinct, so they are 0..n-1
     missing = [v for v in g.vertices() if v not in f.assignment]
     if missing:
         raise LabelingError(f"labeling missing vertices {_id_summary(missing, len(missing))}")
@@ -153,8 +156,8 @@ _P = 2**61 - 1
 
 
 def _edge_pass(
-    g: Graph, f: Labeling
-) -> tuple[list[int], list[int], list[int], dict[int, tuple[Edge, SetLabel]]]:
+    g: Graph, f: Labeling, index: bool = True
+) -> tuple[list[int], list[int], list[int], dict[int, tuple[Edge, SetLabel]] | None]:
     """Induced label sizes of g's edges, in one loop over g.edges, by the
     method verify describes.
 
@@ -166,13 +169,12 @@ def _edge_pass(
     modulo _P when an element reaches 2**61.  A label of up to 5 elements
     meets the size guard whenever it has a neighbor of 2 or more elements,
     and its difference set costs at most 10 differences, so the guard's sum
-    is taken only for larger labels.
+    is taken only for larger labels.  With index False no key is packed,
+    counted or scanned, and firsts is None.
     """
     _require_total(g, f)
     labels = list(f.assignment.values())  # f's keys are exactly 0..n-1
     size = [len(a.elements) for a in labels]
-    lo = [a.elements[0] for a in labels]
-    hi = [a.elements[-1] for a in labels]
     diffs = [
         difference_set(a)
         if s <= 5 or s - 1 <= 2 * sum(size[u] for u in g.neighbors(v) if size[u] > 1)
@@ -183,15 +185,18 @@ def _edge_pass(
     keys: list[int] = []
     not_strong: list[int] = []
     sums: dict[int, SetLabel] = {}
-    # each key packs (min, max, size) into one int: the sums take hb bits
-    # (max <= 2*max(hi)) and the size nb bits (size <= max(size)**2)
-    hb = (2 * max(hi, default=0)).bit_length()
-    nb = (max(size, default=0) ** 2).bit_length()
-    wide = hb > 62
-    if wide:  # one huge element would widen every key; work modulo _P
-        lo = [x % _P for x in lo]
-        hi = [x % _P for x in hi]
-        hb = 62
+    if index:
+        lo = [a.elements[0] for a in labels]
+        hi = [a.elements[-1] for a in labels]
+        # each key packs (min, max, size) into one int: the sums take hb bits
+        # (max <= 2*max(hi)) and the size nb bits (size <= max(size)**2)
+        hb = (2 * max(hi, default=0)).bit_length()
+        nb = (max(size, default=0) ** 2).bit_length()
+        wide = hb > 62
+        if wide:  # one huge element would widen every key; work modulo _P
+            lo = [x % _P for x in lo]
+            hi = [x % _P for x in hi]
+            hb = 62
     for i, (u, v) in enumerate(g.edges):
         n = size[u] * size[v]
         du, dv = diffs[u], diffs[v]
@@ -205,7 +210,10 @@ def _edge_pass(
                 n = len(lab.elements)
                 not_strong.append(i)
         sizes.append(n)
-        keys.append(((lo[u] + lo[v]) << hb | hi[u] + hi[v]) << nb | n)
+        if index:
+            keys.append(((lo[u] + lo[v]) << hb | hi[u] + hi[v]) << nb | n)
+    if not index:
+        return size, sizes, not_strong, None
     if wide:
         # equal labels may carry residue sums s and s + _P: reduce the sums
         keys = [((lo[u] + lo[v]) % _P << 62 | (hi[u] + hi[v]) % _P) << nb | n
@@ -308,10 +316,10 @@ def check_strong_criterion(g: Graph, f: Labeling) -> bool:
 
     Equivalent to every edge label reaching the maximal size
     |f(u)|*|f(v)|, which is how an edge is decided where a difference set
-    would cost more than the sumset.  It runs verify's edge pass, key index
-    included, and reads only which edges are not strong.
+    would cost more than the sumset.  It runs verify's edge pass without
+    its key index and reads only which edges are not strong.
     """
-    return not _edge_pass(g, f)[2]
+    return not _edge_pass(g, f, index=False)[2]
 
 
 def divisors_of(k: int) -> list[int]:
@@ -373,10 +381,13 @@ def analyze_divisor_partition(g: Graph, f: Labeling, k: int) -> PartitionReport:
     compared against the bounds implied by the number of divisors of k:
     for non-square k at most n/2 bipartite components; for square k at most
     (n+1)/2 components of which at most (n-1)/2 are bipartite pairs.
+    It checks strength and k-uniformity, not that labels are distinct.  As
+    every edge joins sizes d and k/d and no vertex is isolated, a component
+    holds exactly its lowest id's size d and k/d, one size when d*d == k.
     """
     if type(k) is not int or k < 1:  # bool is not a size
         raise ValueError("k must be a positive integer")
-    size, sizes, not_strong, _ = _edge_pass(g, f)
+    size, sizes, not_strong, _ = _edge_pass(g, f, index=False)
     if not_strong:
         raise ValueError(
             f"labeling is not strongly {k}-uniform "
@@ -398,15 +409,15 @@ def analyze_divisor_partition(g: Graph, f: Labeling, k: int) -> PartitionReport:
     for v in g.vertices():
         classes.setdefault(size[v], []).append(v)
 
+    # (kind, sizes) of a component whose lowest id has size d
+    shape = {d: ("square-class" if d * d == k else "bipartite-pair", tuple(sorted({d, k // d}))) for d in divs}
     comps = []
     for comp in _components(g):
         vs = tuple(comp)
-        comp_sizes = tuple(sorted({size[v] for v in vs}))
-        kind = "square-class" if k_is_square and comp_sizes == (root,) else "bipartite-pair"
         # K_2 components are complete but bipartite; the clique flag marks
         # complete components that cannot be bipartite (>= 3 vertices)
         clique = len(vs) >= 3 and is_clique(g, vs)
-        comps.append(ComponentReport(vs, kind, comp_sizes, clique))
+        comps.append(tuple.__new__(ComponentReport, (vs, *shape[size[vs[0]]], clique)))
     sq_count = sum(c.kind == "square-class" for c in comps)
     bip_bound = (n_div - 1 if k_is_square else n_div) // 2
     total_bound = (n_div + 1) // 2 if k_is_square else None

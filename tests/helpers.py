@@ -63,6 +63,66 @@ def reference_verify(g, f):
     }
 
 
+def reference_analyze(g, f, k):
+    """analyze_divisor_partition(g, f, k).as_dict() from the definitions:
+    every edge label built with naive_sumset, components by breadth-first
+    search over the edge list, each component's sizes as the set over its
+    vertices, and the clique flag by testing every pair.  Raises the same
+    ValueError lines: a labeling that is not strong is refused before one
+    whose edges are off k."""
+    labels = [list(f[v]) for v in g.vertices()]
+    edge_sizes = [len(naive_sumset(labels[u], labels[v])) for u, v in g.edges]
+    if any(n != len(labels[u]) * len(labels[v]) for (u, v), n in zip(g.edges, edge_sizes)):
+        raise ValueError(f"labeling is not strongly {k}-uniform (adjacent labels share a difference)")
+    for (u, v), n in zip(g.edges, edge_sizes):
+        if n != k:
+            raise ValueError(f"labeling is not strongly {k}-uniform "
+                             f"(edge {u}-{v}: {len(labels[u])}*{len(labels[v])} != {k})")
+    divisors = [d for d in range(1, k + 1) if k % d == 0]
+    k_is_square = any(d * d == k for d in divisors)
+    classes = {str(d): [v for v, a in enumerate(labels) if len(a) == d] for d in divisors}
+    edge_set = set(g.edges)
+    components, seen = [], set()
+    for start in g.vertices():
+        if start in seen:
+            continue
+        seen.add(start)
+        found, frontier = [start], [start]
+        while frontier:
+            nxt = []
+            for x in frontier:
+                for u, v in g.edges:
+                    for a, b in ((u, v), (v, u)):
+                        if a == x and b not in seen:
+                            seen.add(b)
+                            found.append(b)
+                            nxt.append(b)
+            frontier = nxt
+        vs = sorted(found)
+        sizes = sorted({len(labels[v]) for v in vs})
+        clique = len(vs) >= 3 and all(e in edge_set for e in combinations(vs, 2))
+        kind = "square-class" if all(s * s == k for s in sizes) else "bipartite-pair"
+        components.append({"vertices": vs, "kind": kind, "sizes": sizes, "clique": clique})
+    square = sum(c["kind"] == "square-class" for c in components)
+    bipartite = len(components) - square
+    bipartite_bound = (len(divisors) - 1 if k_is_square else len(divisors)) // 2
+    total_bound = (len(divisors) + 1) // 2 if k_is_square else None
+    return {
+        "k": k,
+        "k_is_square": k_is_square,
+        "divisor_count": len(divisors),
+        "classes": {d: vs for d, vs in classes.items() if vs},
+        "components": components,
+        "bipartite_component_count": bipartite,
+        "square_component_count": square,
+        "bipartite_bound": bipartite_bound,
+        "total_bound": total_bound,
+        "bipartite_bound_satisfied": bipartite <= bipartite_bound,
+        "total_bound_satisfied": total_bound is None or len(components) <= total_bound,
+        "clique_component_present": any(c["clique"] for c in components),
+    }
+
+
 def small_sets(universe_max, max_size):
     """Every nonempty subset of {0..universe_max} with at most max_size
     elements, ordered by size then lexicographically."""

@@ -2,6 +2,8 @@
 
 import importlib
 import json
+import math
+import re
 import tracemalloc
 from collections import Counter
 from itertools import product
@@ -29,7 +31,10 @@ from iasi import (
     topological_reduce,
     verify,
 )
-from helpers import delete_edge, delete_vertex, naive_sumset, reference_verify, small_sets
+from helpers import (
+    delete_edge, delete_vertex, naive_sumset, random_bipartite_graph, reference_analyze, reference_verify,
+    small_sets,
+)
 
 # the module, not the function the package re-exports under its name
 verify_module = importlib.import_module("iasi.verify")
@@ -101,6 +106,34 @@ class TestVerify:
         assert r.uniform_k is None
         assert r.vertex_uniform_l is None
         assert not r.completely_uniform
+
+
+# labelings of P_3 that are not exactly on ids 0..2, and the whole error line
+NOT_TOTAL = [
+    ({1: [0], 2: [1], 3: [2]}, "labeling missing vertices [0]"),  # the right count, shifted by one
+    ({-1: [0], 1: [1], 2: [2]}, "labeling missing vertices [0]"),  # the right count and largest id
+    ({0: [0], 1: [1], 5: [2]}, "labeling missing vertices [2]"),  # the right count and least id
+    ({-1: [0], 0: [0], 1: [1], 2: [2]}, "labeling references unknown vertices [-1]"),
+    ({0: [0], 1: [1]}, "labeling missing vertices [2]"),
+    ({0: [0], 1: [1], 2: [2], 7: [3], 9: [4]}, "labeling references unknown vertices [7, 9]"),
+]
+
+
+@pytest.mark.parametrize("check", [
+    verify, check_strong_criterion, check_weak_characterization,
+    lambda g, f: analyze_divisor_partition(g, f, 2),
+], ids=["verify", "criterion", "weak", "analyze"])
+@pytest.mark.parametrize("assignment, line", NOT_TOTAL)
+def test_labelings_off_the_vertex_ids_are_refused_with_the_whole_line(check, assignment, line):
+    with pytest.raises(LabelingError, match=f"^{re.escape(line)}$"):
+        check(path_graph(3), labeling(assignment))
+
+
+def test_the_empty_graph_takes_only_the_empty_labeling():
+    empty = Graph(0, [])
+    assert verify(empty, Labeling({})).is_iasi
+    with pytest.raises(LabelingError, match=r"^labeling references unknown vertices \[0\]$"):
+        verify(empty, labeling({0: [0]}))
 
 
 class TestCharacterizations:
@@ -445,12 +478,61 @@ class TestAnalyze:
                 path_graph(2), labeling({0: [0, 1], 1: [1, 2]}), 4
             )
 
+    def test_not_strong_is_refused_before_off_k(self):
+        # edge 0-1 is off k and comes first; edge 1-2 is not strong
+        f = labeling({0: [0], 1: [0, 1], 2: [5, 6]})
+        line = "labeling is not strongly 4-uniform (adjacent labels share a difference)"
+        for analyze in (analyze_divisor_partition, reference_analyze):
+            with pytest.raises(ValueError, match=f"^{re.escape(line)}$"):
+                analyze(path_graph(3), f, 4)
+
+    @pytest.mark.parametrize("seed", range(60))
+    def test_matches_the_reference(self, seed):
+        g, f, k = strongly_uniform_union(Random(seed))
+        assert json.dumps(analyze_divisor_partition(g, f, k).as_dict()) == json.dumps(reference_analyze(g, f, k))
+
+    def test_the_reference_cases_hold_every_kind_of_component(self):
+        kinds = Counter()
+        for seed in range(60):
+            g, f, k = strongly_uniform_union(Random(seed))
+            for c in analyze_divisor_partition(g, f, k).components:
+                kinds[c.kind, c.clique, len(c.sizes)] += 1
+        assert set(kinds) == {("bipartite-pair", False, 2), ("square-class", False, 1), ("square-class", True, 1)}
+
     @pytest.mark.parametrize("k", [4.0, True, "4", None, 0, -4])
     def test_rejects_k_that_is_not_a_positive_int(self, k):
         # refused before the edge pass, as the wrong k, not as a labeling
         # that fails to be strongly k-uniform
         with pytest.raises(ValueError, match="^k must be a positive integer$"):
             analyze_divisor_partition(path_graph(2), labeling({0: [0, 1], 1: [0, 2]}), k)
+
+
+def strongly_uniform_union(rng):
+    """(g, f, k): a strongly k-uniform labeling of a disjoint union of
+    bipartite components labeled with side sizes m != sqrt(k) (bipartite
+    pairs) or m = sqrt(k) (square classes), and of K_3-K_5 labeled by
+    construct_complete_strong (cliques), its vertex ids shuffled, so a
+    component's root may have either of its two sizes."""
+    k = rng.choice((1, 4, 6, 9, 12, 16, 36))
+    root = math.isqrt(k)
+    pair_sizes = [d for d in divisors_of(k) if d * d != k]
+    shapes = (["pair"] if pair_sizes else []) + (["square", "clique"] if root * root == k else [])
+    edges, labels = [], {}
+    for _ in range(rng.randint(1, 5)):
+        shape = rng.choice(shapes)
+        if shape == "clique":
+            n = rng.randint(3, 5)
+            part, pf = complete_graph(n), construct_complete_strong(n, root)
+        else:
+            part = random_bipartite_graph(rng, 8)
+            m = rng.choice(pair_sizes) if shape == "pair" else root
+            pf = construct_bipartite_strong(part, bipartition_of(part), ConstructionParams(k, m))
+        off = len(labels)
+        edges += [(u + off, v + off) for u, v in part.edges]
+        labels.update({v + off: pf[v] for v in part.vertices()})
+    ids = list(labels)
+    rng.shuffle(ids)
+    return Graph(len(ids), [(ids[u], ids[v]) for u, v in edges]), Labeling({ids[v]: a for v, a in labels.items()}), k
 
 
 class TestLabelingObject:

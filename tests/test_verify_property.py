@@ -1,5 +1,6 @@
 """verify against the plain per-edge reference loop on generated labelings."""
 
+import importlib
 import json
 
 import pytest
@@ -9,6 +10,8 @@ from hypothesis import given, settings, strategies as st  # noqa: E402
 
 from iasi import Graph, Labeling, SetLabel, check_strong_criterion, verify  # noqa: E402
 from helpers import reference_verify  # noqa: E402
+
+_edge_pass = importlib.import_module("iasi.verify")._edge_pass
 
 
 @st.composite
@@ -62,6 +65,16 @@ def test_verify_matches_the_reference_loop_where_residues_wrap(case, t, moved):
     g, f = case
     wide = Labeling({v: f[v].shift((2**62 - 2 - t) * moved[v]) for v in g.vertices()})
     assert json.dumps(verify(g, wide).as_dict()) == json.dumps(reference_verify(g, wide))
+
+
+# the same inputs with labels as they are, moved past a machine word, and
+# moved to where residues modulo 2**61 - 1 wrap
+@settings(derandomize=True, max_examples=200, database=None, deadline=None)
+@given(labeled_graphs(), st.lists(st.sampled_from((0, WIDE, 2**62 - 3)), min_size=7, max_size=7))
+def test_the_edge_pass_without_its_index_gives_the_same_sizes(case, shifts):
+    g, f = case
+    moved = Labeling({v: f[v].shift(shifts[v]) for v in g.vertices()})
+    assert _edge_pass(g, moved, index=False) == (*_edge_pass(g, moved)[:3], None)
 
 
 def test_wide_labels_with_shared_keys_match_the_reference():
