@@ -11,8 +11,8 @@ from __future__ import annotations
 import re
 from bisect import insort
 from functools import cache
-from itertools import chain, islice
-from operator import eq, itemgetter
+from itertools import chain, islice, repeat
+from operator import eq
 from typing import Iterable, NamedTuple
 
 
@@ -31,7 +31,8 @@ class Graph:
     def __init__(self, vertex_count: int, edges: Iterable[Edge]):
         if type(vertex_count) is not int or vertex_count < 0:  # bool is not a count
             raise GraphFormatError("vertex count must be a non-negative integer")
-        pairs: list[Edge] = []
+        us: list[int] = []
+        vs: list[int] = []
         for e in edges:
             try:
                 u, v = e
@@ -44,28 +45,33 @@ class Graph:
                 raise GraphFormatError(f"self-loop at vertex {u}")
             if not (0 <= u < vertex_count and 0 <= v < vertex_count):
                 raise GraphFormatError(f"edge ({u},{v}) out of range for {vertex_count} vertices")
-            pairs.append((u, v) if u < v else (v, u))
-        self._build(vertex_count, pairs)
+            us.append(u)
+            vs.append(v)
+        self._build(vertex_count, us, vs)
 
-    def _build(self, vertex_count: int, pairs: list[Edge]) -> "Graph":
-        """Set the fields from in-range pairs (u, v), u < v, once no pair
-        repeats and every id is on one.  A repeat shows as two equal
-        neighbours in the sorted pairs; only then is the input scanned, for
-        the first repeat in input order."""
-        edges = sorted(pairs)
-        if any(map(eq, edges, islice(edges, 1, None))):
-            seen: set[Edge] = set()
-            for e in pairs:  # the first repeat, in input order
-                if e in seen:
-                    raise GraphFormatError(f"duplicate edge {e[0]}-{e[1]}")
-                seen.add(e)
-        if vertex_count > 2 * len(edges):
+    def _build(self, n: int, us: list[int], vs: list[int]) -> "Graph":
+        """Set the fields from columns of in-range edges {us[i], vs[i]} once
+        none repeats and every id is on one, emptying the columns.  Edges
+        sort as packed ints min * n + max, each then split by divmod into
+        its tuple; a repeat shows as two equal neighbours, and only then
+        are the columns scanned."""
+        if n > 2 * len(us):
             # fewer edge endpoints than ids: fail before allocating anything
-            # per id, so a lone edge to a huge id costs no memory
-            raise GraphFormatError(_isolated_vertices(vertex_count, edges))
-        self._fill(vertex_count, tuple(edges))  # linear on sorted input
+            # per id or packing a key, so a lone edge to a huge id costs no memory
+            _no_repeat(us, vs)
+            raise GraphFormatError(_isolated_vertices(n, chain(us, vs)))
+        keys = [u * n + v if u < v else v * n + u for u, v in zip(us, vs)]
+        keys.sort()
+        if any(map(eq, keys, islice(keys, 1, None))):
+            _no_repeat(us, vs)
+        # the ids are in the keys now: free them, and the keys once split
+        us.clear()
+        vs.clear()
+        edges = tuple(map(divmod, keys, repeat(n)))
+        del keys
+        self._fill(n, edges)  # linear on sorted input
         if not all(self._adj):
-            raise GraphFormatError(_isolated_vertices(vertex_count, edges))
+            raise GraphFormatError(_isolated_vertices(n, chain.from_iterable(edges)))
         return self
 
     def _fill(self, vertex_count: int, edges: tuple[Edge, ...]) -> "Graph":
@@ -76,7 +82,7 @@ class Graph:
             adj[v].append(u)
         object.__setattr__(self, "vertex_count", vertex_count)
         object.__setattr__(self, "edges", edges)
-        object.__setattr__(self, "_adj", tuple(tuple(ns) for ns in adj))
+        object.__setattr__(self, "_adj", tuple(map(tuple, adj)))
         return self
 
     def __setattr__(self, name, value):
@@ -138,9 +144,19 @@ def _id_summary(ids: Iterable[int], count: int) -> str:
     return f"[{', '.join(first)}]{more}"
 
 
-def _isolated_vertices(vertex_count: int, edges: list[Edge]) -> str:
-    """The error for ids on no edge."""
-    touched = set(chain.from_iterable(edges))
+def _no_repeat(us: list[int], vs: list[int]) -> None:
+    """Raise for the first edge {us[i], vs[i]} that repeats, in input order."""
+    seen: set[Edge] = set()
+    for u, v in zip(us, vs):
+        e = (u, v) if u < v else (v, u)
+        if e in seen:
+            raise GraphFormatError(f"duplicate edge {e[0]}-{e[1]}")
+        seen.add(e)
+
+
+def _isolated_vertices(vertex_count: int, ends: Iterable[int]) -> str:
+    """The error for ids on no edge, given every edge's two ends."""
+    touched = set(ends)
     isolated = (v for v in range(vertex_count) if v not in touched)
     return f"isolated vertices: {_id_summary(isolated, vertex_count - len(touched))}"
 
@@ -178,11 +194,11 @@ def _edge_lines() -> re.Pattern[str]:
     return re.compile(rf"(?:[ \t]*{an_id}[ \t]+{an_id}[ \t]*(?:\n|\Z))*")
 
 
-def _edges_in_bulk(text: str, edges: list[Edge]) -> int:
-    """Append the (min, max) pair of each line in input order, a chunk at a
-    time, while every line of a chunk is two canonical ids and none a
-    self-loop; return where the first chunk that is not starts, or the
-    text's end."""
+def _edges_in_bulk(text: str, us: list[int], vs: list[int]) -> int:
+    """Append each line's two ids to the columns us and vs, in input order
+    and as written, a chunk at a time, while every line of a chunk is two
+    canonical ids and none a self-loop; return where the first chunk that
+    is not starts, or the text's end."""
     fullmatch = _edge_lines().fullmatch
     pos = 0
     while pos < len(text):
@@ -193,10 +209,11 @@ def _edges_in_bulk(text: str, edges: list[Edge]) -> int:
             ids = list(map(int, text[pos:end].split()))
         except ValueError:  # int() under a digit limit below MAX_ID_DIGITS
             break
-        us, vs = ids[::2], ids[1::2]
-        if any(map(eq, us, vs)):  # a self-loop
+        firsts, seconds = ids[::2], ids[1::2]
+        if any(map(eq, firsts, seconds)):  # a self-loop
             break
-        edges += [(u, v) if u < v else (v, u) for u, v in zip(us, vs)]
+        us += firsts
+        vs += seconds
         pos = end
     return pos
 
@@ -212,10 +229,11 @@ def parse_edge_list(text: str) -> Graph:
     read in bulk; from the first chunk that holds any other line, the text
     is read line by line, which gives every line-numbered error.
     """
-    edges: list[Edge] = []
-    pos = _edges_in_bulk(text, edges)
+    us: list[int] = []
+    vs: list[int] = []
+    pos = _edges_in_bulk(text, us, vs)
     if pos < len(text):  # the rest line by line; each line before pos is one edge
-        for lineno, raw in enumerate(text[pos:].splitlines(), start=len(edges) + 1):
+        for lineno, raw in enumerate(text[pos:].splitlines(), start=len(us) + 1):
             line = raw.strip()
             if not line or line.startswith("#"):
                 continue
@@ -228,16 +246,15 @@ def parse_edge_list(text: str) -> Graph:
                 raise GraphFormatError(f"line {lineno}: vertex id {exc}") from None
             except ValueError:
                 raise GraphFormatError(f"line {lineno}: non-integer vertex id in {_clip(line)!r}") from None
-            if u > v:
-                u, v = v, u
-            if u < 0:
+            if min(u, v) < 0:
                 raise GraphFormatError(f"line {lineno}: negative vertex id in {_clip(line)!r}")
             if u == v:
                 raise GraphFormatError(f"line {lineno}: self-loop at vertex {_clip(parts[0])}")
-            edges.append((u, v))
-    if not edges:
+            us.append(u)
+            vs.append(v)
+    if not us:
         raise GraphFormatError("edge list is empty")
-    return object.__new__(Graph)._build(1 + max(map(itemgetter(1), edges)), edges)
+    return object.__new__(Graph)._build(1 + max(max(us), max(vs)), us, vs)
 
 
 def _two_coloring(g: Graph) -> tuple[list[int], list[int], set[int]]:

@@ -17,7 +17,8 @@ ends do, so the search and the degree-2 reduction never test for that.
 
 from __future__ import annotations
 
-from itertools import combinations
+from itertools import chain, combinations, islice, repeat
+from operator import countOf, ge, itemgetter
 from typing import Iterable, Iterator
 
 # Most elements the labels of one construction, or one search universe, may
@@ -88,11 +89,29 @@ def _element_text(e: int) -> str:
 def _from_sorted(elements: tuple[int, ...]) -> SetLabel:
     """A label from a strictly increasing, nonempty tuple of non-negative
     ints, taken as is.  Only for results of arithmetic on validated labels,
-    which meet those conditions by construction, and for arrays that
-    `Labeling.from_json` has checked."""
+    which meet those conditions by construction, and for arrays that the
+    per-key loop of `Labeling.from_json` has checked; `_from_arrays` sets
+    the same slot for many labels at once."""
     label = object.__new__(SetLabel)
     object.__setattr__(label, "elements", elements)
     return label
+
+
+def _from_arrays(arrays: tuple) -> list[SetLabel] | None:
+    """The labels of JSON arrays, or None unless each is a nonempty list of
+    ints, strictly ascending from an element >= 0.  Chained, strictly
+    ascending arrays fall only at array borders.  The passes over elements
+    are lazy, and each label's slot is set as _from_sorted sets it."""
+    elements, first, last = chain.from_iterable, itemgetter(0), itemgetter(-1)
+    if not ({list}.issuperset(map(type, arrays)) and all(arrays)
+            and {int}.issuperset(map(type, elements(arrays)))
+            and countOf(map(ge, elements(arrays), islice(elements(arrays), 1, None)), True)
+            == countOf(map(ge, map(last, arrays), islice(map(first, arrays), 1, None)), True)
+            and min(map(first, arrays), default=0) >= 0):
+        return None
+    labels = list(map(object.__new__, repeat(SetLabel, len(arrays))))
+    any(map(SetLabel.elements.__set__, labels, map(tuple, arrays)))  # each call returns None
+    return labels
 
 
 def sumset(a: SetLabel, b: SetLabel) -> SetLabel:

@@ -11,13 +11,14 @@ from __future__ import annotations
 import json
 import math
 from collections import Counter
+from operator import eq, itemgetter
 from types import MappingProxyType
 from typing import Mapping, NamedTuple
 
 from .graphs import (
     MAX_ID_DIGITS, Graph, Edge, _clip, _components, _id_summary, _parse_id, is_clique,
 )
-from .setlabel import SetLabel, _from_sorted, difference_set, sumset
+from .setlabel import SetLabel, _from_arrays, _from_sorted, difference_set, sumset
 
 
 class LabelingError(ValueError):
@@ -70,6 +71,9 @@ class Labeling:
 
     @classmethod
     def from_json(cls, text: str) -> "Labeling":
+        """The labeling a JSON object of decimal keys and element arrays
+        spells.  The pairs are checked a column at a time; if any pair is
+        refused, a per-key loop finds the first and raises its error."""
         try:
             # objects load as tuples of (key, value) pairs, keeping repeated keys
             raw = json.loads(text, object_pairs_hook=tuple)
@@ -79,7 +83,10 @@ class Labeling:
             raise LabelingError(f"labeling holds an integer longer than {MAX_ID_DIGITS} digits") from None
         if not isinstance(raw, tuple):
             raise LabelingError("labeling JSON must be an object")
-        assignment = {}
+        assignment = _labels_in_bulk(raw)
+        if assignment is not None:
+            return cls(assignment)
+        assignment = {}  # some pair is refused: the first one names the error
         for key, arr in raw:
             try:
                 v = _parse_id(key)
@@ -100,6 +107,22 @@ class Labeling:
                 raise LabelingError(f"label for vertex {vid}: negative element {arr[0]} in set label")
             assignment[v] = _from_sorted(tuple(arr))
         return cls(assignment)
+
+
+def _labels_in_bulk(raw: tuple) -> dict[int, SetLabel] | None:
+    """The pairs' labels by id, checked a column at a time, or None if any
+    pair is refused: keys canonical, non-negative and distinct, arrays as
+    _from_arrays takes them."""
+    keys = tuple(map(itemgetter(0), raw))
+    try:
+        ids = list(map(int, keys))
+    except ValueError:  # not a decimal, or too long for int()
+        return None
+    labels = _from_arrays(tuple(map(itemgetter(1), raw)))
+    if labels is None or min(ids, default=0) < 0 or not all(map(eq, map(str, ids), keys)):
+        return None
+    assignment = dict(zip(ids, labels))
+    return assignment if len(assignment) == len(ids) else None
 
 
 def _proven(labels: list[SetLabel], g: Graph, minima: Counter) -> Labeling:
@@ -346,7 +369,8 @@ class ComponentReport(NamedTuple):
     clique: bool
 
     def as_dict(self) -> dict:
-        return {**self._asdict(), "vertices": list(self.vertices), "sizes": list(self.sizes)}
+        vertices, kind, sizes, clique = self
+        return {"vertices": list(vertices), "kind": kind, "sizes": list(sizes), "clique": clique}
 
 
 class PartitionReport(NamedTuple):

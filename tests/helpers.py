@@ -1,9 +1,11 @@
 """Shared test utilities: naive oracles and small-graph generators."""
 
+import json
 from itertools import combinations, product
 from random import Random
 
-from iasi import Graph, Labeling, SetLabel
+from iasi import Graph, Labeling, LabelingError, SetLabel
+from iasi.graphs import MAX_ID_DIGITS, _clip, _parse_id
 
 
 def naive_sumset(a, b):
@@ -61,6 +63,40 @@ def reference_verify(g, f):
         "edge_sizes": edge_sizes,
         "violations": [{"kind": k, "message": m, "witness": w} for k, m, w in violations],
     }
+
+
+def reference_from_json(text):
+    """Labeling.from_json(text) by the plain per-key loop: each (key, array)
+    pair checked in turn, the first refused one raising its LabelingError."""
+    try:
+        raw = json.loads(text, object_pairs_hook=tuple)
+    except (json.JSONDecodeError, RecursionError) as exc:
+        raise LabelingError(f"labeling is not valid JSON: {exc}") from None
+    except ValueError:
+        raise LabelingError(f"labeling holds an integer longer than {MAX_ID_DIGITS} digits") from None
+    if not isinstance(raw, tuple):
+        raise LabelingError("labeling JSON must be an object")
+    assignment = {}
+    for key, arr in raw:
+        try:
+            v = _parse_id(key)
+        except ValueError as exc:
+            raise LabelingError(f"vertex key {exc}") from None
+        vid = _clip(key)
+        if v in assignment:
+            raise LabelingError(f"vertex {vid} is labeled twice")
+        if v < 0:
+            raise LabelingError(f"negative vertex id {vid}")
+        if not isinstance(arr, list) or not all(type(e) is int for e in arr):
+            raise LabelingError(f"label for vertex {vid} must be an integer array")
+        if arr != sorted(set(arr)):
+            raise LabelingError(f"label for vertex {vid} must be strictly ascending")
+        if not arr:
+            raise LabelingError(f"label for vertex {vid}: a set label must be nonempty")
+        if arr[0] < 0:
+            raise LabelingError(f"label for vertex {vid}: negative element {arr[0]} in set label")
+        assignment[v] = SetLabel(arr)
+    return Labeling(assignment)
 
 
 def reference_analyze(g, f, k):

@@ -1,6 +1,7 @@
 """Graph parsing and structural predicates."""
 
 import sys
+import tracemalloc
 from itertools import product
 from random import Random
 from unittest.mock import patch
@@ -116,7 +117,7 @@ def outcome(parse, text):
 def parse_by_line(text):
     """The reference: parse_edge_list with no line read in bulk, every line
     through the per-line loop."""
-    with patch.object(graphs, "_edges_in_bulk", lambda text, edges: 0):
+    with patch.object(graphs, "_edges_in_bulk", lambda text, us, vs: 0):
         return parse_edge_list(text)
 
 
@@ -182,12 +183,12 @@ def mutate(rng, lines, n):
 def assert_paths_agree(text, bulk):
     got, want = outcome(parse_edge_list, text), outcome(parse_by_line, text)
     assert got == want, (got, want)
-    edges = []
-    pos = _edges_in_bulk(text, edges)
+    us, vs = [], []
+    pos = _edges_in_bulk(text, us, vs)
     # the bulk pass stops at a line start or the end, and reads each line
     # before it as one edge
     assert pos in (0, len(text)) or text[pos - 1] == "\n"
-    assert edges == [(min(u, v), max(u, v)) for u, v in (map(int, x.split()) for x in text[:pos].splitlines())]
+    assert list(zip(us, vs)) == [tuple(map(int, x.split())) for x in text[:pos].splitlines()]
     assert (pos == len(text)) == bulk
     return pos
 
@@ -242,6 +243,76 @@ def test_bulk_and_per_line_parses_agree_past_the_first_chunk(change):
     if change == "none":
         g = parse_edge_list(text)
         assert g.vertex_count == n and len(g.edges) == len(lines)
+
+
+def sorted_reference(count, pairs):
+    """Graph(count, pairs)'s edges and adjacency, by sorting (min, max) tuples."""
+    edges = tuple(sorted((min(u, v), max(u, v)) for u, v in pairs))
+    adj = [[] for _ in range(count)]
+    for u, v in edges:
+        adj[u].append(v)
+        adj[v].append(u)
+    return edges, tuple(map(tuple, adj))
+
+
+def test_packed_keys_sort_like_the_edge_tuples():
+    # any line order and orientation; up to 400 ids, so keys u * n + v pass 2**16
+    rng = Random(0x50A7)
+    for _ in range(300):
+        n = rng.choice([rng.randint(2, 12), rng.randint(13, 400)])
+        lines = edge_lines(rng, n)
+        pairs = [tuple(map(int, line.split())) for line in lines]
+        want = sorted_reference(n, pairs)
+        for g in (Graph(n, pairs), parse_edge_list("\n".join(lines))):
+            assert (g.edges, g._adj) == want
+
+
+def by_graph(lines):
+    pairs = [tuple(map(int, line.split())) for line in lines]
+    return Graph(1 + max(map(max, pairs)), pairs)
+
+
+def by_parse(lines):
+    return parse_edge_list("\n".join(lines) + "\n")
+
+
+HUGE = "9" * 4000
+
+
+@pytest.mark.parametrize("build", [by_graph, by_parse], ids=["Graph", "parse"])
+@pytest.mark.parametrize(
+    "lines, message",
+    [
+        # sorted, 0-1 repeats first; in input order 2-3 does
+        (["2 3", "0 1", "3 2", "1 0", "1 2"], "duplicate edge 2-3"),
+        # id 2 is on no edge, with as many ids as edge ends and with fewer
+        (["0 1", "1 0", "1 3"], "duplicate edge 0-1"),
+        (["0 1", "3 1", "1 0", "0 100"], "duplicate edge 0-1"),
+        (["1 0", "0 " + HUGE, "0 1"], "duplicate edge 0-1"),
+    ],
+    ids=["input-order", "dense-gap", "sparse-gap", "huge-id"],
+)
+def test_a_repeat_is_named_first(build, lines, message):
+    with pytest.raises(GraphFormatError) as excinfo:
+        build(lines)
+    assert str(excinfo.value) == message
+
+
+@pytest.mark.parametrize("build", [by_graph, by_parse], ids=["Graph", "parse"])
+def test_a_sparse_huge_id_packs_no_key(build):
+    # 2,000 path edges and one to a 4,000-digit id: a key u * n + v per edge
+    # would take 1.7 kB each, 3.3 MB in all, and a table per id cannot exist;
+    # the text's tokens and its bulk match take about 1.1 MB
+    lines = [f"{i} {i + 1}" for i in range(2000)] + ["7 " + HUGE]
+    tracemalloc.start()
+    try:
+        with pytest.raises(GraphFormatError) as excinfo:
+            build(lines)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert str(excinfo.value).startswith("isolated vertices: [2001, 2002, 2003,")
+    assert peak < 2 << 20
 
 
 class TestBipartition:

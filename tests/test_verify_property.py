@@ -8,8 +8,8 @@ import pytest
 hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
-from iasi import Graph, Labeling, SetLabel, check_strong_criterion, verify  # noqa: E402
-from helpers import reference_verify  # noqa: E402
+from iasi import Graph, Labeling, LabelingError, SetLabel, check_strong_criterion, verify  # noqa: E402
+from helpers import reference_from_json, reference_verify  # noqa: E402
 
 _edge_pass = importlib.import_module("iasi.verify")._edge_pass
 
@@ -89,3 +89,43 @@ def test_wide_labels_with_shared_keys_match_the_reference():
     assert [(v.kind, v.witness) for v in r.violations] == [
         ("duplicate-edge-labels", (0, 1, 3, 5)), ("weak-equality", (4, 6)), ("strong-equality", (4, 6)),
     ]
+
+
+# keys and arrays the per-key loop refuses, each with its own message
+BAD_KEYS = ["01", "+1", "1_0", "-0", " 1", "1 ", "\u0661", "\uff12", "-3", "9" * 4301, "x", "1.0", ""]
+BAD_ARRAYS = ["5", '"1"', "{}", "null", "[true]", "[0, 1.0]", "[[1]]", "[]", "[2, 1]", "[1, 1]",
+              "[0, 3, 2]", "[-1, 2]", "[-2]", "[5, -3]"]
+
+
+@st.composite
+def labeling_texts(draw):
+    """A JSON object of valid (key, array) pairs in any key order, often with
+    refused pairs among them: bad keys, repeated keys and bad arrays."""
+    ids = draw(st.lists(st.integers(0, 40), unique=True, max_size=8))
+    arrays = st.lists(st.integers(0, 2**64), min_size=1, max_size=4, unique=True).map(sorted)
+    pairs = [(json.dumps(str(v)), json.dumps(draw(arrays))) for v in ids]
+    for _ in range(draw(st.integers(0, 3))):
+        kind = draw(st.sampled_from(["key", "repeat", "array"]))
+        if kind == "key":
+            pair = (json.dumps(draw(st.sampled_from(BAD_KEYS))), json.dumps(draw(arrays)))
+        elif kind == "repeat" and pairs:
+            pair = (draw(st.sampled_from(pairs))[0], json.dumps(draw(arrays)))
+        else:
+            pair = (json.dumps(str(draw(st.integers(0, 40)))), draw(st.sampled_from(BAD_ARRAYS)))
+        pairs.insert(draw(st.integers(0, len(pairs))), pair)
+    return "{" + ", ".join(f"{k}: {a}" for k, a in pairs) + "}"
+
+
+def outcome(load, text):
+    """The labeling text loads to, with its ids in order, or the error line."""
+    try:
+        f = load(text)
+    except LabelingError as exc:
+        return str(exc)
+    return f, list(f.assignment)
+
+
+@settings(derandomize=True, max_examples=400, database=None, deadline=None)
+@given(labeling_texts())
+def test_from_json_matches_the_per_key_loop(text):
+    assert outcome(Labeling.from_json, text) == outcome(reference_from_json, text)
