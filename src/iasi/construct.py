@@ -19,7 +19,7 @@ from collections import Counter, namedtuple
 
 from .graphs import Graph, Bipartition, _id_summary, _smooth, is_valid_bipartition
 from .setlabel import MAX_ELEMENTS, SetLabel, difference_set, is_sumset_maximal, sumset
-from .verify import Labeling, _edge_pass, _proven, divisors_of
+from .verify import Labeling, _edge_pass, _labeling, divisors_of
 
 
 class ConstructionError(ValueError):
@@ -175,7 +175,7 @@ def topological_reduce(g: Graph, f: Labeling, v: int) -> tuple[Graph, Labeling]:
     reduced = _smooth(g, v)
     labels = list(f.assignment.values())
     del labels[v]
-    return reduced, _proven(labels, reduced, minima)
+    return reduced, _labeling(dict(enumerate(labels)), (reduced, minima))
 
 
 def _shared_differences(f: Labeling, u: int, w: int) -> ReductionError:

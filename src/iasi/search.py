@@ -3,12 +3,15 @@
 The search assigns candidate labels to vertices in ascending id order,
 enumerating candidates by size and then lexicographically, and prunes a
 branch as soon as it can no longer complete: duplicate vertex labels, an
-edge that is not strong, and duplicate edge labels.  An edge label is held
-as the bitmask of its sums less their minimum, so an edge uv is strong
-exactly when the mask has |f(u)|·|f(v)| bits, which holds exactly when the
-difference sets of f(u) and f(v) are disjoint.  The mask is as wide as the
-sum of the two labels' spans, so singletons cost the same at any element
-size; labels of 2+ elements with a wide span cost more per edge.
+edge that is not strong, and duplicate edge labels.  A placed label is
+held as the bitmask of its elements less their minimum.  The product of
+two such masks is a sum of |f(u)|·|f(v)| powers of two, one per pair of
+elements, so it has that many bits exactly when no two sums are equal,
+that is when the edge uv is strong; it is then the bitmask of the sums
+less their minimum, the edge label's key.  One multiply per edge replaces
+|f(u)| shifts.  Python multiplies in time quadratic in the digits, so two
+sparse labels each spanning thousands of bits cost more than shifts would,
+but a placed label is the first candidate to pass, so it is rarely wide.
 
 Label sizes come from a table built once per search.  Under a uniform
 target the sizes of adjacent vertices multiply to k (weak: they pair 1 with
@@ -125,10 +128,11 @@ def _search(g: Graph, spec: SearchSpec, first: bool) -> tuple[int, list[tuple[in
     # The size table already makes a strong edge's label reach k (strong
     # sizes multiply to k; weak sizes pair a singleton, always strong,
     # with a k-set), so what is left to check is strength,
-    # |A + B| = |A|·|B|, and distinct labels.  An edge label's key is the
-    # bitmask of its sums less their minimum, paired with the minimum.  Two
-    # back-edges of one vertex never share a key: strong sums cancel (setlabel).
+    # |A + B| = |A|·|B|, and distinct labels.  An edge label's key is its
+    # sum mask paired with its minimum.  Two back-edges of one vertex never
+    # share a key: strong sums cancel (setlabel).
     labels: list[tuple[int, ...]] = [()] * nv
+    masks: list[tuple[int, int, int]] = [(0, 0, 0)] * nv  # (mask, min, size) per label
     used_labels: set[tuple[int, ...]] = set()
     edge_keys: set[tuple[int, int]] = set()
     nodes = found = 0
@@ -160,14 +164,11 @@ def _search(g: Graph, spec: SearchSpec, first: bool) -> tuple[int, list[tuple[in
                     cmask |= 1 << (b - lo)
                 new_keys = []
                 for u in back_v:
-                    ulabel = labels[u]
-                    a0 = ulabel[0]
-                    mask = 0
-                    for a in ulabel:
-                        mask |= cmask << (a - a0)
-                    if mask.bit_count() != len(ulabel) * s:
+                    umask, ulo, us = masks[u]
+                    mask = umask * cmask
+                    if mask.bit_count() != us * s:
                         break
-                    key = (mask, a0 + lo)
+                    key = (mask, ulo + lo)
                     if key in edge_keys:
                         break
                     new_keys.append(key)
@@ -179,6 +180,7 @@ def _search(g: Graph, spec: SearchSpec, first: bool) -> tuple[int, list[tuple[in
                             return
                         continue
                     labels[v] = cand
+                    masks[v] = (cmask, lo, s)
                     used_labels.add(cand)
                     edge_keys.update(new_keys)
                     yield True

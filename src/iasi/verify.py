@@ -85,7 +85,7 @@ class Labeling:
             raise LabelingError("labeling JSON must be an object")
         assignment = _labels_in_bulk(raw)
         if assignment is not None:
-            return cls(assignment)
+            return _labeling(assignment)
         assignment = {}  # some pair is refused: the first one names the error
         for key, arr in raw:
             try:
@@ -110,9 +110,9 @@ class Labeling:
 
 
 def _labels_in_bulk(raw: tuple) -> dict[int, SetLabel] | None:
-    """The pairs' labels by id, checked a column at a time, or None if any
-    pair is refused: keys canonical, non-negative and distinct, arrays as
-    _from_arrays takes them."""
+    """The pairs' labels in ascending id order, checked a column at a time,
+    or None if any pair is refused: keys canonical, non-negative and
+    distinct, arrays as _from_arrays takes them."""
     keys = tuple(map(itemgetter(0), raw))
     try:
         ids = list(map(int, keys))
@@ -122,14 +122,17 @@ def _labels_in_bulk(raw: tuple) -> dict[int, SetLabel] | None:
     if labels is None or min(ids, default=0) < 0 or not all(map(eq, map(str, ids), keys)):
         return None
     assignment = dict(zip(ids, labels))
-    return assignment if len(assignment) == len(ids) else None
+    if len(assignment) < len(ids):
+        return None
+    return assignment if ids == sorted(ids) else {v: assignment[v] for v in sorted(ids)}
 
 
-def _proven(labels: list[SetLabel], g: Graph, minima: Counter) -> Labeling:
-    """The labeling i -> labels[i], not re-sorted, with the proof (g, minima)."""
+def _labeling(assignment: dict[int, SetLabel], proof: tuple | None = None) -> Labeling:
+    """The Labeling of checked labels by ascending id, not checked or
+    sorted again; proof is its _proof, as topological_reduce sets it."""
     f = object.__new__(Labeling)
-    object.__setattr__(f, "assignment", MappingProxyType(dict(enumerate(labels))))
-    object.__setattr__(f, "_proof", (g, minima))
+    object.__setattr__(f, "assignment", MappingProxyType(assignment))
+    object.__setattr__(f, "_proof", proof)
     return f
 
 

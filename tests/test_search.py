@@ -285,6 +285,11 @@ class TestCountLabelings:
                          id="k13"),
             pytest.param(complete_bipartite_graph(2, 2), (5, 6, "strong", 9), 8_020, 0,
                          id="k22"),
+            # masks of up to 35 bits on both ends, so their products take
+            # several digits of a Python int; N = C(35, 2) 2-sets give
+            # N + N² nodes, and N² − Σ_{j≤34} j² ordered pairs whose two
+            # differences are unequal (so the labels are distinct too)
+            pytest.param(path_graph(2), (34, 2, "strong", 4), 354_620, 340_340, id="p2-wide"),
         ],
     )
     def test_budget_boundary(self, g, spec_args, nodes, count):
