@@ -175,12 +175,6 @@ def _require_total(g: Graph, f: Labeling) -> None:
         raise LabelingError(f"labeling references unknown vertices {_id_summary(extra, len(extra))}")
 
 
-# keys of labels with an element of 2**61 or more pack their sums modulo
-# this prime; equal labels keep equal keys, and a collision of unequal
-# ones only sends both edges to the exact comparison in their bucket
-_P = 2**61 - 1
-
-
 def _edge_pass(
     g: Graph, f: Labeling, index: bool = True
 ) -> tuple[list[int], list[int], list[int], dict[int, tuple[Edge, SetLabel]] | None]:
@@ -190,12 +184,11 @@ def _edge_pass(
     Returns (size, sizes, not_strong, firsts): each vertex's label size,
     each edge's label size, the positions of the edges that are not strong,
     and each position whose label an earlier edge already carries -> (the
-    first such edge, the label).  Edges are bucketed by one int key per
-    edge, (min, max, size) packed at widths fixed per call, the sums taken
-    modulo _P when an element reaches 2**61.  A label of up to 5 elements
-    meets the size guard whenever it has a neighbor of 2 or more elements,
-    and its difference set costs at most 10 differences, so the guard's sum
-    is taken only for larger labels.  With index False no key is packed,
+    first such edge, the label).  Each edge's key is the hash of its
+    label's (min, max, size).  A label of up to 5 elements meets the size
+    guard whenever it has a neighbor of 2 or more elements, and its
+    difference set costs at most 10 differences, so the guard's sum is
+    taken only for larger labels.  With index False no key is hashed,
     counted or scanned, and firsts is None.
     """
     _require_total(g, f)
@@ -214,15 +207,6 @@ def _edge_pass(
     if index:
         lo = [a.elements[0] for a in labels]
         hi = [a.elements[-1] for a in labels]
-        # each key packs (min, max, size) into one int: the sums take hb bits
-        # (max <= 2*max(hi)) and the size nb bits (size <= max(size)**2)
-        hb = (2 * max(hi, default=0)).bit_length()
-        nb = (max(size, default=0) ** 2).bit_length()
-        wide = hb > 62
-        if wide:  # one huge element would widen every key; work modulo _P
-            lo = [x % _P for x in lo]
-            hi = [x % _P for x in hi]
-            hb = 62
     for i, (u, v) in enumerate(g.edges):
         n = size[u] * size[v]
         du, dv = diffs[u], diffs[v]
@@ -237,13 +221,9 @@ def _edge_pass(
                 not_strong.append(i)
         sizes.append(n)
         if index:
-            keys.append(((lo[u] + lo[v]) << hb | hi[u] + hi[v]) << nb | n)
+            keys.append(hash((lo[u] + lo[v], hi[u] + hi[v], n)))
     if not index:
         return size, sizes, not_strong, None
-    if wide:
-        # equal labels may carry residue sums s and s + _P: reduce the sums
-        keys = [((lo[u] + lo[v]) % _P << 62 | (hi[u] + hi[v]) % _P) << nb | n
-                for (u, v), n in zip(g.edges, sizes)]
     firsts: dict[int, tuple[Edge, SetLabel]] = {}
     count = Counter(keys)
     # all keys distinct means all labels distinct, and the scan is skipped
@@ -264,18 +244,19 @@ def verify(g: Graph, f: Labeling) -> VerificationReport:
 
     Edge labels are induced sumsets, and injectivity of the edge map is set
     equality of those sumsets.  One loop over the edges takes each edge's
-    size and key: the triple (min, max, size) packed into one int, with
-    the sums taken modulo 2**61 - 1 once an element reaches 2**61, so one
-    huge element does not widen every key.  An edge with a singleton
-    endpoint, or whose endpoint labels have disjoint difference sets, is
-    strong with size |A|*|B| and needs no sumset.  Edges whose keys differ have
-    different labels; only edges with equal keys, and edges that are not
-    strong, get their sumsets built and compared exactly.  A difference set
-    D_v is built only when |f(v)| - 1 <= 2 * (sum of |f(u)| over the
-    neighbors u with |f(u)| >= 2), so its quadratic cost never exceeds the
-    sumsets it saves; without it, an edge at v whose other end is not a
-    singleton takes the exact sumset.  No input costs more than one sumset
-    per edge.  Edges are processed in sorted order so the violation list is
+    size and key: the hash of the triple (min, max, size), an int of at
+    most 64 bits whatever the elements' size.  Equal labels have equal
+    triples, so equal keys.  An edge with a singleton endpoint, or whose
+    endpoint labels have disjoint difference sets, is strong with size
+    |A|*|B| and needs no sumset.  Edges whose keys differ have different
+    labels; only edges with equal keys, and edges that are not strong, get
+    their sumsets built and compared exactly, so unequal labels whose keys
+    collide cost their exact comparison and change no result.  A
+    difference set D_v is built only when |f(v)| - 1 <= 2 * (sum of |f(u)|
+    over the neighbors u with |f(u)| >= 2), so its quadratic cost never
+    exceeds the sumsets it saves; without it, an edge at v whose other end
+    is not a singleton takes the exact sumset.  No input costs more than one
+    sumset per edge.  Edges are processed in sorted order so the violation list is
     deterministic, and an edge's witness is its own tuple from g.edges.
     """
     size, sizes, not_strong, firsts = _edge_pass(g, f)

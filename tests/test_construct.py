@@ -447,6 +447,18 @@ class TestChainedReductions:
         return calls
 
     @staticmethod
+    def count_sumsets(monkeypatch):
+        """The sumsets topological_reduce builds itself, outside any full pass."""
+        calls = []
+
+        def counted(*args, real=construct_module.sumset):
+            calls.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(construct_module, "sumset", counted)
+        return calls
+
+    @staticmethod
     def reduce_or_error(g, f, v):
         try:
             return topological_reduce(g, f, v)
@@ -528,13 +540,16 @@ class TestChainedReductions:
 
     def test_the_edges_at_v_leave_the_count(self, monkeypatch):
         # after the first reduction, the new edge 0-2 of P_3 has the minimum
-        # 0 + 10 of the edge 0-1 it replaces, which leaves the count
+        # 0 + 10 of the edge 0-1 it replaces, which leaves the count, so no
+        # old edge shares it and the new label is never built
         calls = self.count_edge_passes(monkeypatch)
+        sumsets = self.count_sumsets(monkeypatch)
         g = path_graph(4)
         f = Labeling({0: SetLabel([0, 1]), 1: SetLabel([50]), 2: SetLabel([10]), 3: SetLabel([10, 13])})
         g1, f1 = topological_reduce(g, f, 1)
         g2, f2 = topological_reduce(g1, f1, 1)
         assert len(calls) == 1
+        assert not sumsets
         assert g2.edges == ((0, 1),) and verify(g2, f2).edge_sizes == {(0, 1): 4}
 
     @staticmethod
@@ -590,12 +605,15 @@ class TestChainedReductions:
 
     def test_a_chain_runs_one_edge_pass(self, monkeypatch):
         # position i of P_200 carries {L*i, L*i + i + 1}: difference sets
-        # {i + 1} are pairwise disjoint, and every new edge has a fresh minimum
+        # {i + 1} are pairwise disjoint, and every new edge has a fresh minimum,
+        # so no step builds its new label to scan the old edges
         calls = self.count_edge_passes(monkeypatch)
+        sumsets = self.count_sumsets(monkeypatch)
         n = 200
         g = path_graph(n)
         f = Labeling({i: SetLabel([4 * n * i, 4 * n * i + i + 1]) for i in g.vertices()})
         for j in range(20):
             g, f = topological_reduce(g, f, 9 * j + 5)  # path position 10j + 5
         assert len(calls) == 1
+        assert not sumsets
         assert g.vertex_count == n - 20 and verify(g, f).is_strong and verify(g, f).is_iasi

@@ -4,6 +4,7 @@ import importlib
 import json
 import math
 import re
+import sys
 import tracemalloc
 from collections import Counter
 from itertools import product
@@ -343,17 +344,18 @@ def test_edge_witnesses_are_the_graph_edge_tuples():
         assert viol.witness is e
 
 
-# the prime modulo which verify keys labels with an element of 2**61 or more
-P = 2**61 - 1
+# the modulus of the int hash: verify keys each edge by the hash of its
+# label's (min, max, size), and ints that agree modulo P hash alike
+P = sys.hash_info.modulus
 
 
 class TestHugeElements:
     @pytest.mark.parametrize("wide", [False, True], ids=["below-2**61", "with-a-2**70-element"])
     def test_residue_sums_that_pass_the_prime_keep_a_duplicate(self, wide):
-        # {P-1}+{2} and {P}+{1} are both {P+1}; their residues sum to P+1
-        # and 1, so keys built from unreduced residue sums would differ
-        # and the duplicate would be lost.  A third edge with an element of
-        # 2**70 puts every key on the modular path.
+        # {P-1}+{2} and {P}+{1} are both {P+1}; their elements' hashes sum
+        # to P+1 and 1, so keys built from the elements' hashes rather than
+        # from the sums would differ and the duplicate would be lost.  A
+        # third edge with an element of 2**70 hashes sums past a machine word.
         edges, labels = [(0, 1), (2, 3)], {0: [P - 1], 1: [2], 2: [P], 3: [1]}
         if wide:
             edges.append((4, 5))
@@ -365,8 +367,8 @@ class TestHugeElements:
 
     def test_colliding_reduced_keys_of_unequal_labels(self, calls):
         # {0}+{0,5,2**70} and {P}+{0,7,2**70} differ, but their min and max
-        # sums agree modulo P, so the two keys collide and both edges take
-        # the exact comparison
+        # sums agree modulo P, the hash's modulus, so the two keys collide
+        # and both edges take the exact comparison
         g = Graph(4, [(0, 1), (2, 3)])
         f = labeling({0: [0], 1: [0, 5, 2**70], 2: [P], 3: [0, 7, 2**70]})
         r = verify(g, f)
@@ -377,7 +379,8 @@ class TestHugeElements:
     def test_one_huge_element_does_not_widen_every_key(self):
         # strong k = 6 K_{60,60} with vertex 0 relabeled {10**4299}: keys as
         # wide as that element, about 1.8 KB each, would raise the peak about
-        # 8 times; K_{300,300} shows the same ratio, but tracing it is slow
+        # 8 times, where a hashed key is one machine word; K_{300,300} shows
+        # the same ratio, but tracing it is slow
         g = complete_bipartite_graph(60, 60)
         f = construct_bipartite_strong(g, bipartition_of(g), ConstructionParams(6))
         huge = Labeling({**f.assignment, 0: SetLabel([10**4299])})

@@ -2,6 +2,7 @@
 
 import importlib
 import json
+from collections import Counter
 
 import pytest
 
@@ -11,7 +12,8 @@ from hypothesis import given, settings, strategies as st  # noqa: E402
 from iasi import Graph, Labeling, LabelingError, SetLabel, check_strong_criterion, verify  # noqa: E402
 from helpers import reference_from_json, reference_verify  # noqa: E402
 
-_edge_pass = importlib.import_module("iasi.verify")._edge_pass
+verify_module = importlib.import_module("iasi.verify")
+_edge_pass = verify_module._edge_pass
 
 
 @st.composite
@@ -45,8 +47,8 @@ WIDE = 2**70
 @settings(derandomize=True, max_examples=200, database=None, deadline=None)
 @given(labeled_graphs(), st.lists(st.sampled_from((0, WIDE)), min_size=7, max_size=7))
 def test_verify_matches_the_reference_loop_past_a_machine_word(case, shifts):
-    # some or all labels moved up by 2**70, so each packed edge key spans
-    # several machine words and its fields sit far apart or close together
+    # some or all labels moved up by 2**70, so the sums that each edge key
+    # hashes span several machine words and sit far apart or close together
     g, f = case
     wide = Labeling({v: f[v].shift(shifts[v]) for v in g.vertices()})
     want = reference_verify(g, wide)
@@ -54,9 +56,10 @@ def test_verify_matches_the_reference_loop_past_a_machine_word(case, shifts):
     assert check_strong_criterion(g, wide) == want["is_strong"]
 
 
-# verify reduces the sums of labels with an element of 2**61 or more
-# modulo the prime P = 2**61 - 1.  Moved up by 2**62 - 2 - t, which is
-# P - t modulo P, an element below t has a residue just under P and any
+# verify keys each edge by the hash of its label's (min, max, size), and
+# the int hash is the residue modulo the prime P = 2**61 - 1, the
+# sys.hash_info.modulus of 64-bit builds.  Moved up by 2**62 - 2 - t, which
+# is P - t modulo P, an element below t has a residue just under P and any
 # other one a small residue, so residue sums of equal edge labels can
 # differ by P.
 @settings(derandomize=True, max_examples=200, database=None, deadline=None)
@@ -68,7 +71,7 @@ def test_verify_matches_the_reference_loop_where_residues_wrap(case, t, moved):
 
 
 # the same inputs with labels as they are, moved past a machine word, and
-# moved to where residues modulo 2**61 - 1 wrap
+# moved to where residues modulo the hash's modulus 2**61 - 1 wrap
 @settings(derandomize=True, max_examples=200, database=None, deadline=None)
 @given(labeled_graphs(), st.lists(st.sampled_from((0, WIDE, 2**62 - 3)), min_size=7, max_size=7))
 def test_the_edge_pass_without_its_index_gives_the_same_sizes(case, shifts):
@@ -89,6 +92,28 @@ def test_wide_labels_with_shared_keys_match_the_reference():
     assert [(v.kind, v.witness) for v in r.violations] == [
         ("duplicate-edge-labels", (0, 1, 3, 5)), ("weak-equality", (4, 6)), ("strong-equality", (4, 6)),
     ]
+
+
+@settings(derandomize=True, max_examples=200, database=None, deadline=None)
+@given(labeled_graphs())
+def test_keys_that_all_collide_change_no_report(case):
+    # with every key 0, all edges share one bucket, so unequal labels meet
+    # there on many edges at once, and each edge takes one exact sumset
+    g, f = case
+    made = Counter()
+
+    def counted(a, b, real=verify_module.sumset):
+        made[id(a), id(b)] += 1  # each vertex has a label object of its own
+        return real(a, b)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(verify_module, "hash", lambda key: 0, raising=False)
+        mp.setattr(verify_module, "sumset", counted)
+        got = json.dumps(verify(g, f).as_dict())
+    assert got == json.dumps(reference_verify(g, f))
+    assert max(made.values(), default=1) == 1
+    if len(g.edges) > 1:
+        assert len(made) == len(g.edges)
 
 
 # keys and arrays the per-key loop refuses, each with its own message
