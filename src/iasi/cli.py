@@ -20,24 +20,18 @@ from .construct import (
     ConstructionParams,
     construct_bipartite_strong,
     construct_complete_strong,
-    construct_weak_uniform,
     topological_reduce,
 )
-from .graphs import Graph, _parse_id, bipartition_of, parse_edge_list
+from .graphs import _parse_id, bipartition_of, parse_edge_list
 from .search import TARGETS, SearchSpec, brute_force_search
 from .verify import Labeling, analyze_divisor_partition, verify
 
 MAX_K = 2**31 - 1
 
 
-def _read_graph(path: str) -> Graph:
+def _read(path: str) -> str:
     with open(path, "r", encoding="utf-8") as fh:
-        return parse_edge_list(fh.read())
-
-
-def _read_labels(path: str) -> Labeling:
-    with open(path, "r", encoding="utf-8") as fh:
-        return Labeling.from_json(fh.read())
+        return fh.read()
 
 
 def _emit(payload: dict, out: str | None) -> None:
@@ -83,8 +77,8 @@ def _parse_factors(text: str, k: int) -> int:
 
 
 def cmd_verify(args) -> dict:
-    g = _read_graph(args.graph)
-    f = _read_labels(args.labels)
+    g = parse_edge_list(_read(args.graph))
+    f = Labeling.from_json(_read(args.labels))
     return verify(g, f).as_dict()
 
 
@@ -99,21 +93,19 @@ def cmd_construct(args) -> dict:
         raise ConstructionError(f"{args.mode} mode needs --{reads[0]} and --{reads[1]}")
     if args.mode == "complete":
         return construct_complete_strong(args.vertices, args.l).as_dict()
-    g = _read_graph(args.graph)
+    g = parse_edge_list(_read(args.graph))
     bp = bipartition_of(g)
     if bp is None:
         raise ConstructionError("graph is not bipartite")
     k = _check_k(args.k)
-    if args.mode == "strong":
-        m = None if args.factors is None else _parse_factors(args.factors, k)
-        f = construct_bipartite_strong(g, bp, ConstructionParams(k, m))
-    else:
-        f = construct_weak_uniform(g, bp, k)
-    return f.as_dict()
+    m = 1 if args.mode == "weak" else None  # weak mode takes no --factors
+    if args.factors is not None:
+        m = _parse_factors(args.factors, k)
+    return construct_bipartite_strong(g, bp, ConstructionParams(k, m)).as_dict()
 
 
 def cmd_search(args) -> dict:
-    g = _read_graph(args.graph)
+    g = parse_edge_list(_read(args.graph))
     spec = SearchSpec(
         universe_max=args.universe,
         max_label_size=args.universe + 1 if args.max_size is None else args.max_size,
@@ -132,19 +124,19 @@ def cmd_search(args) -> dict:
 
 
 def cmd_reduce(args) -> dict:
-    g = _read_graph(args.graph)
-    f = _read_labels(args.labels)
+    g = parse_edge_list(_read(args.graph))
+    f = Labeling.from_json(_read(args.labels))
     reduced, labels = topological_reduce(g, f, args.vertex)
     return {
         "vertex_count": reduced.vertex_count,
-        "edges": [[u, v] for u, v in reduced.edges],
+        "edges": reduced.edges,
         "labels": labels.as_dict(),
     }
 
 
 def cmd_analyze(args) -> dict:
-    g = _read_graph(args.graph)
-    f = _read_labels(args.labels)
+    g = parse_edge_list(_read(args.graph))
+    f = Labeling.from_json(_read(args.labels))
     return analyze_divisor_partition(g, f, _check_k(args.k)).as_dict()
 
 

@@ -399,6 +399,17 @@ class TestConstructCommand:
         payload = json.loads(out)
         assert payload["is_weak"] is True and payload["uniform_k"] == 5
 
+    def test_weak_mode_is_strong_mode_with_m_1(self, capsys, tmp_path, k33):
+        # P_3, C_4 and a star K_{1,3}, with ids mixed across the components
+        parts = tmp_path / "parts.txt"
+        parts.write_text("9 4\n4 0\n1 7\n7 3\n3 10\n10 1\n5 2\n5 8\n5 6\n")
+        for graph in (k33, str(parts)):
+            for k in range(1, 13):
+                weak = run(capsys, ["construct", "--graph", graph, "--mode", "weak", "--k", str(k)])
+                strong = run(capsys, ["construct", "--graph", graph, "--mode", "strong", "--k", str(k),
+                                      "--factors", f"1,{k}"])
+                assert weak == strong and weak[0] == 0, (graph, k)
+
     def test_complete_mode(self, capsys, tmp_path):
         code, out, _ = run(
             capsys, ["construct", "--mode", "complete", "--vertices", "4", "--l", "2"]

@@ -190,7 +190,7 @@ def test_cli_start_up_imports_no_dataclasses(tmp_path):
         " '--k', '4', '--universe', '3'])\n"
         "print(code, sorted({'dataclasses', 'inspect'} & set(sys.modules)))\n"
     )
-    run = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+    run = subprocess.run([sys.executable, "-I", "-c", script], capture_output=True, text=True,
                          timeout=60)
     assert run.returncode == 0, run.stderr
     assert run.stdout.splitlines()[-1] == "0 []"
@@ -209,7 +209,7 @@ def test_cli_run_loads_only_the_stdlib_modules_it_imports(tmp_path):
     src = str(Path(iasi.__file__).resolve().parents[1])
     script = (
         "import sys\n"
-        "import __future__, argparse, collections, itertools, json, math, types, typing\n"
+        "import __future__, argparse, bisect, collections, functools, itertools, json, math, operator, re, types, typing\n"
         "argparse.ArgumentParser(prog='x').add_argument('--x')\n"
         "stdlib = set(sys.modules)\n"
         f"sys.path.insert(0, {src!r})\n"
@@ -217,7 +217,7 @@ def test_cli_run_loads_only_the_stdlib_modules_it_imports(tmp_path):
         f"codes = [iasi.cli.main(argv) for argv in {runs!r}]\n"
         "print(codes, sorted(m for m in set(sys.modules) - stdlib if m.split('.')[0] != 'iasi'))\n"
     )
-    run = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+    run = subprocess.run([sys.executable, "-I", "-c", script], capture_output=True, text=True,
                          timeout=60)
     assert run.returncode == 0, run.stderr
     assert run.stdout.splitlines()[-1] == "[0, 0, 0, 0, 0] []"

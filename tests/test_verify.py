@@ -322,6 +322,38 @@ class TestEdgePassCost:
         allowed = bucket | {(f[u].elements, f[w].elements)}
         assert set(calls["sumset"]) <= allowed
 
+    @staticmethod
+    def strong6():
+        # the strong k = 6 K_{150,150}: labels of 2 and 3 elements, 22,500
+        # edges with distinct labels
+        g = complete_bipartite_graph(150, 150)
+        return g, construct_bipartite_strong(g, bipartition_of(g), ConstructionParams(6))
+
+    def test_labels_of_up_to_5_elements_read_no_neighbors(self, monkeypatch):
+        g, f = self.strong6()
+        reads = []
+        real = Graph.neighbors
+        monkeypatch.setattr(Graph, "neighbors", lambda self, v: reads.append(v) or real(self, v))
+        assert verify(g, f).is_strong
+        # without the guard's `s <= 5` shortcut each of the 300 vertices sums
+        # its neighbors' sizes
+        assert len(reads) == 0
+
+    def test_distinct_keys_read_no_count(self, monkeypatch):
+        g, f = self.strong6()
+        reads = []
+
+        class CountingCounter(Counter):
+            def __getitem__(self, key):
+                reads.append(key)
+                return super().__getitem__(key)
+
+        monkeypatch.setattr(verify_module, "Counter", CountingCounter)
+        r = verify(g, f)
+        assert r.is_iasi and r.is_strong and r.uniform_k == 6
+        # without the skip the scan reads the count of each of the 22,500 keys
+        assert len(reads) == 0
+
 
 def test_edge_witnesses_are_the_graph_edge_tuples():
     # a valid strongly 6-uniform K_{4,7} labeled by 2- and 3-element sets
