@@ -17,7 +17,6 @@ import sys
 from . import __version__
 from .construct import (
     ConstructionError,
-    ConstructionParams,
     construct_bipartite_strong,
     construct_complete_strong,
     topological_reduce,
@@ -94,14 +93,11 @@ def cmd_construct(args) -> dict:
     if args.mode == "complete":
         return construct_complete_strong(args.vertices, args.l).as_dict()
     g = parse_edge_list(_read(args.graph))
-    bp = bipartition_of(g)
-    if bp is None:
-        raise ConstructionError("graph is not bipartite")
     k = _check_k(args.k)
     m = 1 if args.mode == "weak" else None  # weak mode takes no --factors
     if args.factors is not None:
         m = _parse_factors(args.factors, k)
-    return construct_bipartite_strong(g, bp, ConstructionParams(k, m)).as_dict()
+    return construct_bipartite_strong(g, bipartition_of(g), (k, m)).as_dict()
 
 
 def cmd_search(args) -> dict:

@@ -60,7 +60,7 @@ def default_factor(k: int) -> int:
 
 
 def construct_bipartite_strong(
-    g: Graph, bp: Bipartition, params: ConstructionParams
+    g: Graph, bp: Bipartition | None, params: ConstructionParams | tuple
 ) -> Labeling:
     """Strongly k-uniform labeling of a bipartite graph, any k >= 1.
 
@@ -73,11 +73,13 @@ def construct_bipartite_strong(
     least |Y| and side_y minima below it, so the vertex labels are distinct
     too.  Every element is below (|X| + 1)*|Y| + k.
     """
+    if bp is None:  # what bipartition_of gives for a graph with an odd cycle
+        raise ConstructionError("graph is not bipartite")
     if not is_valid_bipartition(g, bp):
         raise ConstructionError("bipartition is not valid for the graph")
     # the default n = k/m is at least sqrt(k), and side_y is nonempty, so
     # past MAX_ELEMENTS**2 the bound below fails: m = 1 fails it unfactored
-    k, m = params
+    k, m = ConstructionParams(*params)
     if m is None:
         m = default_factor(k) if k <= MAX_ELEMENTS**2 else 1
     xs, ys = sorted(bp.side_x), sorted(bp.side_y)

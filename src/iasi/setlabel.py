@@ -89,9 +89,8 @@ def _element_text(e: int) -> str:
 def _from_sorted(elements: tuple[int, ...]) -> SetLabel:
     """A label from a strictly increasing, nonempty tuple of non-negative
     ints, taken as is.  Only for results of arithmetic on validated labels,
-    which meet those conditions by construction, and for arrays that the
-    per-key loop of `Labeling.from_json` has checked; `_from_arrays` sets
-    the same slot for many labels at once."""
+    which meet those conditions by construction; `_from_arrays` sets the
+    same slot for many labels at once."""
     label = object.__new__(SetLabel)
     object.__setattr__(label, "elements", elements)
     return label

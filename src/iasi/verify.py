@@ -18,7 +18,7 @@ from typing import Mapping, NamedTuple
 from .graphs import (
     MAX_ID_DIGITS, Graph, Edge, _clip, _components, _id_summary, _parse_id, is_clique,
 )
-from .setlabel import SetLabel, _from_arrays, _from_sorted, difference_set, sumset
+from .setlabel import SetLabel, _from_arrays, difference_set, sumset
 
 
 class LabelingError(ValueError):
@@ -86,14 +86,14 @@ class Labeling:
         assignment = _labels_in_bulk(raw)
         if assignment is not None:
             return _labeling(assignment)
-        assignment = {}  # some pair is refused: the first one names the error
+        seen = set()  # some pair is refused: the first one raises its error
         for key, arr in raw:
             try:
                 v = _parse_id(key)
             except ValueError as exc:
                 raise LabelingError(f"vertex key {exc}") from None
             vid = _clip(key)  # key is v's canonical decimal form
-            if v in assignment:
+            if v in seen:
                 raise LabelingError(f"vertex {vid} is labeled twice")
             if v < 0:
                 raise LabelingError(f"negative vertex id {vid}")
@@ -105,8 +105,7 @@ class Labeling:
                 raise LabelingError(f"label for vertex {vid}: a set label must be nonempty")
             if arr[0] < 0:
                 raise LabelingError(f"label for vertex {vid}: negative element {arr[0]} in set label")
-            assignment[v] = _from_sorted(tuple(arr))
-        return cls(assignment)
+            seen.add(v)
 
 
 def _labels_in_bulk(raw: tuple) -> dict[int, SetLabel] | None:

@@ -440,6 +440,23 @@ class TestConstructCommand:
         assert code == 1
         assert "not bipartite" in err
 
+    @pytest.mark.parametrize(
+        "options, message",
+        [
+            (["--k", "6"], "graph is not bipartite"),
+            # the options are read before the constructor refuses the graph
+            (["--k", "0"], "k must be in 1..2147483647"),
+            (["--k", "6", "--factors", "2,4"], "factors 2*4 != k=6"),
+        ],
+        ids=["not-bipartite", "k-zero", "factors-product-not-k"],
+    )
+    def test_refusals_on_a_triangle(self, capsys, tmp_path, options, message):
+        tri = tmp_path / "k3.txt"
+        tri.write_text("0 1\n1 2\n2 0\n")
+        code, out, err = run(capsys, ["construct", "--graph", str(tri), *options])
+        assert_one_line_error(code, out, err)
+        assert err == f"error: {message}\n"
+
     def test_byte_identical_output(self, capsys, tmp_path, k33, p3):
         argv = ["construct", "--graph", k33, "--mode", "strong", "--k", "6"]
         _, out1, _ = run(capsys, argv)

@@ -109,6 +109,51 @@ class TestBipartiteStrong:
         with pytest.raises(ConstructionError):
             construct_bipartite_strong(g, bad, ConstructionParams(4))
 
+    @pytest.mark.parametrize("n", [3, 5])
+    def test_rejects_an_odd_cycle(self, n):
+        # bipartition_of gives None: refused by name, not an AttributeError
+        g = cycle_graph(n)
+        with pytest.raises(ConstructionError, match="^graph is not bipartite$"):
+            construct_bipartite_strong(g, bipartition_of(g), ConstructionParams(4))
+        with pytest.raises(ConstructionError, match="^graph is not bipartite$"):
+            construct_weak_uniform(g, bipartition_of(g), 3)
+
+    @pytest.mark.parametrize(
+        "params, message",
+        [
+            ((6, 4), "m must be a positive divisor of k=6"),
+            ((6.0, 2), "k must be an integer"),
+            (("6", 2), "k must be an integer"),
+            ((6, 2.0), "m must be a positive divisor of k=6"),
+            ((6, True), "m must be a positive divisor of k=6"),
+            ((6, 10**30), "m must be a positive divisor of k=6"),
+        ],
+    )
+    def test_a_plain_pair_gets_the_record_checks(self, params, message):
+        # (6, 4) would otherwise build a labeling that verify reads as
+        # 8-uniform; a bad pair is named before the element bound is checked
+        g = complete_bipartite_graph(2, 3)
+        with pytest.raises(ConstructionError, match=f"^{message}$"):
+            construct_bipartite_strong(g, bipartition_of(g), params)
+
+    @pytest.mark.parametrize("params", [(6, 2), [6, 2], (6,)])
+    def test_a_plain_pair_builds_its_record_labeling(self, params):
+        g = complete_bipartite_graph(2, 3)
+        bp = bipartition_of(g)
+        f = construct_bipartite_strong(g, bp, params)
+        assert f == construct_bipartite_strong(g, bp, ConstructionParams(*params))
+        assert verify(g, f).uniform_k == 6
+
+    def test_an_invalid_bipartition_is_named_before_the_pair(self):
+        # the bipartition is checked before the pair, so a bad one keeps
+        # its error; the weak constructor's own record names a bad k first
+        g = path_graph(3)
+        bad = bipartition_of(path_graph(2))
+        with pytest.raises(ConstructionError, match="^bipartition is not valid for the graph$"):
+            construct_bipartite_strong(g, bad, (6, 4))
+        with pytest.raises(ConstructionError, match="^k must be positive$"):
+            construct_weak_uniform(g, bad, 0)
+
     def test_rejects_k_zero(self):
         with pytest.raises(ConstructionError, match="k must be positive"):
             ConstructionParams(0)
