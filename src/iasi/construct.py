@@ -75,6 +75,8 @@ def construct_bipartite_strong(
     """
     if bp is None:  # what bipartition_of gives for a graph with an odd cycle
         raise ConstructionError("graph is not bipartite")
+    if not (isinstance(bp, Bipartition) and all(isinstance(side, frozenset) for side in bp)):
+        raise ConstructionError("bipartition must be a Bipartition of two frozensets")
     if not is_valid_bipartition(g, bp):
         raise ConstructionError("bipartition is not valid for the graph")
     # the default n = k/m is at least sqrt(k), and side_y is nonempty, so

@@ -27,14 +27,23 @@ an explicit stack of generators, so recursion limits do not bound its
 depth.  The node count is checked right after each increment, so a search
 cut by its budget has always visited budget + 1 nodes.
 
+Twins, vertices with the same open or closed neighbourhood, come from one
+pass over the adjacency tuples, with no automorphism search.  Swapping
+twins maps labelings to labelings, so a later twin tries only the labels
+after its predecessor's, and counts take the orbit factor prod c_i! over
+twin classes of sizes c_i.  The first witness does not change: swapping a
+falling pair of twins in it would give a labeling that comes earlier.
+
 A negative answer is always scoped to the universe bound; the search never
 claims nonexistence beyond it.
 """
 
 from __future__ import annotations
 
+from bisect import bisect
 from collections import namedtuple
-from itertools import combinations
+from itertools import chain, combinations
+from math import prod
 from typing import NamedTuple
 
 from .graphs import Graph, _two_coloring
@@ -98,18 +107,26 @@ class SearchOutcome(NamedTuple):
         return d
 
 
+def _after(t: tuple[int, ...], universe: tuple[int, ...]):
+    """The len(t)-subsets of universe after t in lexicographic order: for i
+    from the last position down, t[:i], an element above t[i], then more."""
+    return chain.from_iterable(
+        map(t[:i].__add__, combinations(universe[t[i] + 1:], len(t) - i))
+        for i in reversed(range(len(t)))
+    )
+
+
 def _search(g: Graph, spec: SearchSpec, first: bool) -> tuple[int, list[tuple[int, ...]], int]:
-    """Count the complete labelings in DFS order, stopping at the first
-    with first set; return the count, the labels indexed by vertex, and the
-    nodes visited.  It raises BudgetExceededError at the node that crosses
-    spec.node_budget, so a cut search has always visited budget + 1 nodes."""
+    """Count the complete labelings, stopping at the first with first set;
+    return the count, the labels indexed by vertex, and the nodes visited.
+    v tries only labels after pred[v]'s, its previous twin's.  It raises
+    BudgetExceededError at the node that crosses spec.node_budget, so a
+    cut search has always visited budget + 1 nodes."""
     if not g.edges:
         raise ValueError("graph has no edges")
     nv = g.vertex_count
     k = spec.k
     budget = spec.node_budget
-    # neighbors with smaller id: the edges checked when a vertex is placed
-    back = [tuple(u for u in g.neighbors(v) if u < v) for v in g.vertices()]
     # the size table: a component root (its lowest id) tries root_sizes;
     # any other vertex takes the root's size d on color 0, k // d on 1
     cap = spec.max_label_size
@@ -149,10 +166,14 @@ def _search(g: Graph, spec: SearchSpec, first: bool) -> tuple[int, list[tuple[in
         else:
             d = len(labels[r])
             sizes = (k // d if color[v] else d,)
+        p = pred[v]
+        if p >= 0:  # a later twin: only the labels after its predecessor's
+            floor = labels[p]
+            sizes = [s for s in sizes if s >= len(floor)]
         back_v = back[v]
         last = v == nv - 1
         for s in sizes:
-            for cand in combinations(universe, s):
+            for cand in combinations(universe, s) if p < 0 or s > len(floor) else _after(floor, universe):
                 nodes += 1
                 if nodes > budget:
                     raise BudgetExceededError(f"node budget {budget} exceeded")
@@ -189,6 +210,21 @@ def _search(g: Graph, spec: SearchSpec, first: bool) -> tuple[int, list[tuple[in
 
     if not all(root_sizes[r] for r in set(root)):
         return 0, labels, 0  # some component has no feasible size
+    # back[v]: the smaller neighbors, whose edges are checked when v is
+    # placed.  One dict keys open and closed neighbourhoods, as only the
+    # latter hold their vertex; rank[v] is v's 1-based place among its twins
+    back: list[tuple[int, ...]] = []
+    pred = [-1] * nv
+    rank = [1] * nv
+    last_with: dict[tuple[int, ...], int] = {}
+    for v, nb in enumerate(g._adj):
+        below = nb[:bisect(nb, v)]
+        back.append(below)
+        closed = below + (v,) + nb[len(below):]
+        p = last_with.get(nb, last_with.get(closed, -1))
+        if p >= 0:
+            pred[v], rank[v] = p, rank[p] + 1
+        last_with[nb] = last_with[closed] = v
     # shared by every place(): combinations() copies any non-tuple input
     universe = tuple(range(spec.universe_max + 1))
     stack = [place(0)]
@@ -197,7 +233,7 @@ def _search(g: Graph, spec: SearchSpec, first: bool) -> tuple[int, list[tuple[in
             stack.append(place(len(stack)))
         else:
             stack.pop()
-    return found, labels, nodes
+    return found * prod(rank), labels, nodes
 
 
 def brute_force_search(g: Graph, spec: SearchSpec) -> SearchOutcome:
@@ -216,7 +252,8 @@ def brute_force_search(g: Graph, spec: SearchSpec) -> SearchOutcome:
 def count_labelings(g: Graph, spec: SearchSpec) -> int:
     """Exact number of labelings meeting the target within the universe.
 
-    Counts whole labelings, not equivalence classes; intended for tiny
-    instances.
+    Counts whole labelings, not equivalence classes: the labelings whose
+    twins rise, times the exact orbit factor prod c_i! over the twin
+    classes.  Intended for tiny instances.
     """
     return _search(g, spec, first=False)[0]

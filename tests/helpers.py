@@ -4,8 +4,9 @@ import json
 from itertools import combinations, product
 from random import Random
 
-from iasi import Graph, Labeling, LabelingError, SetLabel
-from iasi.graphs import MAX_ID_DIGITS, _clip, _parse_id
+from iasi import BudgetExceededError, Graph, Labeling, LabelingError, SetLabel
+from iasi.graphs import MAX_ID_DIGITS, _clip, _parse_id, _two_coloring
+from iasi.verify import divisors_of
 
 
 def naive_sumset(a, b):
@@ -219,3 +220,90 @@ def _compact(g, f, edges):
     new_edges = [(remap[a], remap[b]) for a, b in edges]
     new_labels = Labeling({remap[old]: f[old] for old in covered})
     return Graph(len(covered), new_edges), new_labels
+
+
+def reference_search(g, spec, first):
+    """search._search without twins: the same size table, candidate order,
+    checks and node count, but every vertex tries every candidate of its
+    size, so the count is taken labeling by labeling.  Returns (count,
+    labels, nodes), or raises BudgetExceededError like the search."""
+    nv, k, budget = g.vertex_count, spec.k, spec.node_budget
+    back = [tuple(u for u in g.neighbors(v) if u < v) for v in g.vertices()]
+    cap = spec.max_label_size
+    if spec.target == "any-strong":
+        root, color = list(g.vertices()), [0] * nv
+        root_sizes = [range(1, cap + 1)] * nv
+    else:
+        color, root, odd_roots = _two_coloring(g)
+        strong = spec.target == "strong" and k <= cap * cap
+        base = divisors_of(k) if strong else sorted({1, k})
+        sizes = [d for d in base if d <= cap and k // d <= cap]
+        square = [d for d in sizes if d * d == k]
+        root_sizes = [square if v in odd_roots else sizes for v in g.vertices()]
+    labels = [()] * nv
+    masks = [(0, 0, 0)] * nv
+    used_labels, edge_keys = set(), set()
+    nodes = found = 0
+
+    def place(v):
+        nonlocal nodes, found
+        r = root[v]
+        sizes = root_sizes[v] if r == v else ((k // len(labels[r])) if color[v] else len(labels[r]),)
+        for s in sizes:
+            for cand in combinations(universe, s):
+                nodes += 1
+                if nodes > budget:
+                    raise BudgetExceededError(f"node budget {budget} exceeded")
+                if cand in used_labels:
+                    continue
+                lo = cand[0]
+                cmask = sum(1 << (b - lo) for b in cand)
+                new_keys = []
+                for u in back[v]:
+                    umask, ulo, us = masks[u]
+                    mask = umask * cmask
+                    if mask.bit_count() != us * s or (mask, ulo + lo) in edge_keys:
+                        break
+                    new_keys.append((mask, ulo + lo))
+                else:
+                    if v == nv - 1:
+                        found += 1
+                        if first:
+                            labels[v] = cand
+                            return
+                        continue
+                    labels[v], masks[v] = cand, (cmask, lo, s)
+                    used_labels.add(cand)
+                    edge_keys.update(new_keys)
+                    yield True
+                    edge_keys.difference_update(new_keys)
+                    used_labels.remove(cand)
+
+    if not all(root_sizes[r] for r in set(root)):
+        return 0, labels, 0
+    universe = tuple(range(spec.universe_max + 1))
+    stack = [place(0)]
+    while stack and not (first and found):
+        if next(stack[-1], False):
+            stack.append(place(len(stack)))
+        else:
+            stack.pop()
+    return found, labels, nodes
+
+
+def distinct_pair_sum_sets(n, universe_max):
+    """The n-subsets of {0..universe_max} whose sums over distinct pairs
+    are distinct, in lexicographic order.  K_n labeled by singletons is a
+    strong set-indexer exactly when its values form such a set, so the
+    first one is the first witness of the search over singletons."""
+
+    def extend(chosen, sums):
+        if len(chosen) == n:
+            yield tuple(chosen)
+            return
+        for x in range(chosen[-1] + 1 if chosen else 0, universe_max + 1):
+            new = {a + x for a in chosen}  # distinct, as the chosen are
+            if sums.isdisjoint(new):
+                yield from extend(chosen + [x], sums | new)
+
+    return extend([], set())

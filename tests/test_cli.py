@@ -64,7 +64,7 @@ def assert_one_line_error(code, out, err):
 # byte-identical JSON, as json.dumps(payload) writes it.
 K33_STRONG6 = '{"0": [3, 4], "1": [6, 7], "2": [9, 10], "3": [0, 2, 4], "4": [1, 3, 5], "5": [2, 4, 6]}\n'
 COMPLETE_4_2 = '{"0": [0, 8], "1": [33, 42], "2": [68, 78], "3": [105, 116]}\n'
-SEARCH_P3_STRONG4 = '{"status": "found", "nodes_visited": 4, "witness": {"0": [0], "1": [0, 1, 2, 3], "2": [1]}}\n'
+SEARCH_P3_STRONG4 = '{"status": "found", "nodes_visited": 3, "witness": {"0": [0], "1": [0, 1, 2, 3], "2": [1]}}\n'
 REDUCE_P3 = '{"vertex_count": 2, "edges": [[0, 1]], "labels": {"0": [0, 1], "1": [30, 34]}}\n'
 # P_4 labeled {0},{0,1},{0,1},{0}: all four violation kinds
 VERIFY_P4_ALL_KINDS = (
@@ -146,7 +146,7 @@ COMPLETE_4_2_INDENT2 = """\
 SEARCH_P3_STRONG4_INDENT2 = """\
 {
   "status": "found",
-  "nodes_visited": 4,
+  "nodes_visited": 3,
   "witness": {
     "0": [
       0

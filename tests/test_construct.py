@@ -8,6 +8,7 @@ from random import Random
 import pytest
 
 from iasi import (
+    Bipartition,
     ConstructionError,
     ConstructionParams,
     Graph,
@@ -153,6 +154,21 @@ class TestBipartiteStrong:
             construct_bipartite_strong(g, bad, (6, 4))
         with pytest.raises(ConstructionError, match="^k must be positive$"):
             construct_weak_uniform(g, bad, 0)
+
+    @pytest.mark.parametrize(
+        "bp",
+        [
+            pytest.param((frozenset({0, 2}), frozenset({1})), id="plain-pair"),
+            pytest.param(Bipartition([0, 2], [1]), id="lists"),
+            pytest.param(Bipartition({0, 2}, {1}), id="sets"),
+        ],
+    )
+    def test_rejects_a_bipartition_that_is_not_the_record(self, bp):
+        # a plain pair raised AttributeError, lists a bare TypeError
+        with pytest.raises(ConstructionError, match="^bipartition must be a Bipartition of two frozensets$"):
+            construct_bipartite_strong(path_graph(3), bp, (4,))
+        with pytest.raises(ConstructionError, match="^bipartition must be a Bipartition of two frozensets$"):
+            construct_weak_uniform(path_graph(3), bp, 2)
 
     def test_rejects_k_zero(self):
         with pytest.raises(ConstructionError, match="k must be positive"):

@@ -2,7 +2,8 @@
 agreement between the pruned search and a naive unpruned enumeration."""
 
 import tracemalloc
-from itertools import product
+from itertools import combinations, product
+from random import Random
 
 import pytest
 
@@ -21,8 +22,9 @@ from iasi import (
     path_graph,
     verify,
 )
+from iasi.search import _after
 from iasi.setlabel import MAX_ELEMENTS
-from helpers import graphs_without_isolated, small_sets
+from helpers import distinct_pair_sum_sets, graphs_without_isolated, reference_search, small_sets
 
 
 def unpruned_count(g, spec):
@@ -133,12 +135,12 @@ class TestBruteForceSearch:
         assert out.witness is None
         assert out.nodes_visited == 6  # stops right after crossing the cap
         # K_5 has no labeling by singletons of {0..5}, and its whole tree is
-        # 2,094 nodes on each target, so every budget below cuts it; the cut
+        # 58 nodes on each target, so every budget below cuts it; the cut
         # always comes right after the node that crosses the budget
         g = complete_graph(5)
-        assert brute_force_search(g, SearchSpec(5, 1, "any-strong")).nodes_visited == 2094
+        assert brute_force_search(g, SearchSpec(5, 1, "any-strong")).nodes_visited == 58
         for target, k in (("strong", 1), ("weak", 1), ("any-strong", None)):
-            for budget in (1, 5, 777):
+            for budget in (1, 5, 57):
                 spec = SearchSpec(5, 1, target, k, node_budget=budget)
                 out = brute_force_search(g, spec)
                 assert (out.status, out.witness, out.nodes_visited) == (
@@ -152,12 +154,12 @@ class TestBruteForceSearch:
         # the whole tree over {0..5} is searched without a witness
         g = complete_bipartite_graph(2, 2)
         out = brute_force_search(g, SearchSpec(5, 6, "strong", 9))
-        assert (out.status, out.nodes_visited) == ("exhausted-none", 8020)
+        assert (out.status, out.nodes_visited) == ("exhausted-none", 4010)
 
     def test_deep_found_node_count(self):
         g = complete_bipartite_graph(3, 3)
         out = brute_force_search(g, SearchSpec(6, 7, "strong", 9))
-        assert (out.status, out.nodes_visited) == ("found", 182090)
+        assert (out.status, out.nodes_visited) == ("found", 82069)
         r = verify(g, out.witness)
         assert r.is_iasi and r.is_strong and r.uniform_k == 9
 
@@ -166,7 +168,7 @@ class TestBruteForceSearch:
         # witness (over {0..6} it ends found, test_deep_found_node_count)
         g = complete_bipartite_graph(3, 3)
         out = brute_force_search(g, SearchSpec(5, 6, "strong", 9))
-        assert (out.status, out.nodes_visited) == ("exhausted-none", 144820)
+        assert (out.status, out.nodes_visited) == ("exhausted-none", 24150)
 
     def test_deterministic(self):
         a = brute_force_search(path_graph(3), SearchSpec(5, 2, "any-strong"))
@@ -191,23 +193,25 @@ class TestWideSearches:
     def test_k8_four_element_labels(self):
         # K_8 needs 8 four-element labels with pairwise disjoint difference sets
         out = brute_force_search(complete_graph(8), SearchSpec(80, 4, "strong", 16))
-        assert (out.status, out.nodes_visited) == ("found", 161955)
+        assert (out.status, out.nodes_visited) == ("found", 39336)
         assert out.witness == Labeling({v: SetLabel(e) for v, e in self.K8_WITNESS.items()})
 
     def test_singletons_over_a_wide_universe(self):
         # K_40 with singletons over {0..99999}: pairwise sums must differ;
         # the candidates reach 2496, and an edge's mask stays one bit wide
         out = brute_force_search(complete_graph(40), SearchSpec(99_999, 1, "any-strong"))
-        assert (out.status, out.nodes_visited) == ("found", 28093)
+        assert (out.status, out.nodes_visited) == ("found", 2497)
         assert out.witness == Labeling(
             {v: SetLabel([e]) for v, e in enumerate(self.K40_SINGLETONS)}
         )
 
     def test_memory_does_not_grow_with_the_nodes(self):
         # the search keeps no state per node searched: the traced peak of a
-        # search cut by its budget stays small at 5,000 and 150,000 nodes
+        # search cut by its budget stays small at 5,000 and 150,000 nodes.
+        # K_8 by singletons of {0..23} has none (its tree is 163,288 nodes),
+        # so both budgets cut it
         def peak(budget):
-            spec = SearchSpec(80, 4, "strong", 16, node_budget=budget)
+            spec = SearchSpec(23, 1, "any-strong", node_budget=budget)
             tracemalloc.start()
             try:
                 out = brute_force_search(complete_graph(8), spec)
@@ -279,17 +283,19 @@ class TestCountLabelings:
     @pytest.mark.parametrize(
         "g, spec_args, nodes, count",
         [
-            pytest.param(cycle_graph(4), (5, 2, "strong", 2), 16_401, 11_920, id="c4"),
+            pytest.param(cycle_graph(4), (5, 2, "strong", 2), 4_206, 11_920, id="c4"),
             pytest.param(path_graph(4), (4, 2, "any-strong", None), 36_690, 24_050, id="p4"),
-            pytest.param(complete_bipartite_graph(1, 3), (4, 2, "weak", 2), 6_365, 4_200,
+            pytest.param(complete_bipartite_graph(1, 3), (4, 2, "weak", 2), 1_140, 4_200,
                          id="k13"),
-            pytest.param(complete_bipartite_graph(2, 2), (5, 6, "strong", 9), 8_020, 0,
+            pytest.param(complete_bipartite_graph(2, 2), (5, 6, "strong", 9), 4_010, 0,
                          id="k22"),
             # masks of up to 35 bits on both ends, so their products take
             # several digits of a Python int; N = C(35, 2) 2-sets give
-            # N + N² nodes, and N² − Σ_{j≤34} j² ordered pairs whose two
-            # differences are unequal (so the labels are distinct too)
-            pytest.param(path_graph(2), (34, 2, "strong", 4), 354_620, 340_340, id="p2-wide"),
+            # N + N(N − 1)/2 nodes, as the second end, a twin of the first,
+            # tries only the 2-sets after the first's, and N² − Σ_{j≤34} j²
+            # ordered pairs whose two differences are unequal (so the labels
+            # are distinct too)
+            pytest.param(path_graph(2), (34, 2, "strong", 4), 177_310, 340_340, id="p2-wide"),
         ],
     )
     def test_budget_boundary(self, g, spec_args, nodes, count):
@@ -385,3 +391,79 @@ class TestPruneCorrectness:
                             break
                     out = brute_force_search(g, SearchSpec(u, s, target, k))
                     assert out.witness == first, (edges, target, k)
+
+
+class TestTwins:
+    """Twins, vertices sharing their open or their closed neighbourhood,
+    take rising labels, and the count is scaled by the orbit factor; the
+    search agrees with the twin-free reference in tests/helpers.py."""
+
+    def test_after_lists_the_later_subsets(self):
+        for universe_max in range(6):
+            universe = tuple(range(universe_max + 1))
+            for size in range(1, universe_max + 2):
+                every = list(combinations(universe, size))
+                for i, t in enumerate(every):
+                    assert list(_after(t, universe)) == every[i + 1:], t
+
+    def test_matches_the_twin_free_reference(self):
+        # random graphs on 2-6 vertices, all three targets, U 2-7, labels of
+        # at most 3 elements; a case whose reference count runs past 5,000
+        # nodes is not compared.  The twin tree is a subtree of the
+        # reference's, so it is never larger
+        rng = Random(2013)
+        compared = 0
+        for _ in range(150):
+            n = rng.randint(2, 6)
+            edges = []
+            while len({v for e in edges for v in e}) < n:
+                edges = [e for e in combinations(range(n), 2) if rng.random() < 0.5]
+            g = Graph(n, edges)
+            target = rng.choice(("any-strong", "strong", "weak"))
+            k = {"any-strong": None, "strong": rng.choice((1, 2, 3, 4, 6, 9)),
+                 "weak": rng.randint(1, 3)}[target]
+            universe_max = rng.randint(2, 7)
+            spec = SearchSpec(universe_max, rng.randint(1, 3), target, k, node_budget=5_000)
+            try:
+                count = reference_search(g, spec, first=False)[0]
+                found, labels, nodes = reference_search(g, spec, first=True)
+            except BudgetExceededError:
+                continue
+            compared += 1
+            case = (edges, spec)
+            assert count_labelings(g, spec) == count, case
+            out = brute_force_search(g, spec)
+            assert out.status == ("found" if found else "exhausted-none"), case
+            if found:
+                assert out.witness == Labeling({v: SetLabel(c) for v, c in enumerate(labels)}), case
+            assert out.nodes_visited <= nodes, case
+        assert compared >= 100, compared
+
+
+# least U at which K_n has a labeling by singletons, for n = 3..8, and the
+# first witnesses from n = 6 on
+SINGLETON_CLIQUES = [
+    pytest.param(3, 2, None, id="k3"),
+    pytest.param(4, 4, None, id="k4"),
+    pytest.param(5, 7, None, id="k5"),
+    pytest.param(6, 12, (0, 1, 2, 4, 7, 12), id="k6"),
+    pytest.param(7, 18, (0, 1, 2, 4, 8, 13, 18), id="k7"),
+    pytest.param(8, 24, (0, 1, 2, 4, 8, 14, 19, 24), id="k8"),
+]
+
+
+@pytest.mark.parametrize("n, least, witness", SINGLETON_CLIQUES)
+def test_singleton_cliques_match_the_set_enumeration(n, least, witness):
+    # K_n by singletons is a strong set-indexer exactly when its values have
+    # distinct sums over distinct pairs; the search, which cuts these trees
+    # by twins, and the enumeration of such sets agree on both sides of the
+    # least U
+    g = complete_graph(n)
+    below = brute_force_search(g, SearchSpec(least - 1, 1, "any-strong"))
+    assert below.status == "exhausted-none"
+    assert next(distinct_pair_sum_sets(n, least - 1), None) is None
+    out = brute_force_search(g, SearchSpec(least, 1, "any-strong"))
+    first = next(distinct_pair_sum_sets(n, least))
+    assert out.status == "found"
+    assert out.witness == Labeling({v: SetLabel([e]) for v, e in enumerate(first)})
+    assert witness is None or first == witness
